@@ -236,49 +236,123 @@ def _add_schedule_cache_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _schedule_cache_from_args(args):
-    """Resolve and install the process-wide schedule cache.
-
-    ``--schedule-cache`` beats the environment and is exported back to
-    ``REPRO_SCHEDULE_CACHE`` so worker processes (the DSE evaluator pool)
-    inherit the same cache file.  The resolved cache is installed as the
-    ambient default, so every dispatch site in the process shares one
-    stats-bearing object the command can report on."""
-    from repro.sw.schedule_cache import (
-        default_schedule_cache,
-        set_default_schedule_cache,
+def _add_profile_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="run under cProfile and print the top-20 cumulative entries",
     )
-
-    value = getattr(args, "schedule_cache", None)
-    if value is not None:
-        os.environ["REPRO_SCHEDULE_CACHE"] = value
-    set_default_schedule_cache(None)  # re-resolve from the environment
-    cache = default_schedule_cache()
-    set_default_schedule_cache(cache)
-    return cache
-
-
-def _print_schedule_stats(cache) -> None:
-    stats = cache.stats
-    if not cache or not stats.lookups:
-        return
-    print(
-        f"schedule cache: {stats.hits} hits / {stats.misses} misses "
-        f"({len(cache)} tuned schedules at {cache.path})"
+    parser.add_argument(
+        "--profile-out",
+        default=None,
+        metavar="PATH",
+        help="dump raw cProfile pstats data to this file (implies profiling)",
     )
 
 
-def _export_obs(args, tracer, metrics, meta: dict) -> None:
-    """Write the ``--trace-out`` / ``--metrics-out`` artifacts, if requested."""
-    from repro.obs import export_metrics_csv, export_metrics_json, write_chrome_trace
+class _RunContext:
+    """The run plumbing ``run``/``tune``/``dse``/``serve`` share.
 
-    if getattr(args, "trace_out", None) and tracer:
-        print(f"wrote {write_chrome_trace(tracer, args.trace_out)}")
-    if getattr(args, "metrics_out", None) and metrics:
-        if args.metrics_out.endswith(".csv"):
-            print(f"wrote {export_metrics_csv(metrics, args.metrics_out)}")
-        else:
-            print(f"wrote {export_metrics_json(metrics, args.metrics_out, meta=meta)}")
+    Opening one resolves and installs the schedule cache, mints the run id
+    and resolves the ledger; the tracer and metric stream stay the null
+    singletons unless the verb asks for them.  :meth:`timed` times the
+    simulation body (under ``--profile``/``--profile-out`` where the verb
+    has them), :meth:`export` writes the ``--trace-out``/``--metrics-out``
+    artifacts and :meth:`record` appends the ledger record stamped with the
+    shared run id and the timed wall time.
+    """
+
+    def __init__(self, args, kind: str) -> None:
+        from repro.obs import new_run_id
+        from repro.obs.metrics import NULL_METRICS
+        from repro.obs.tracer import NULL_TRACER
+        from repro.sw.schedule_cache import (
+            default_schedule_cache,
+            set_default_schedule_cache,
+        )
+
+        self.args = args
+        self.kind = kind
+        # --schedule-cache beats the environment and is exported back to
+        # REPRO_SCHEDULE_CACHE so worker processes (the DSE evaluator pool)
+        # inherit the same cache file.  The resolved cache is installed as
+        # the ambient default, so every dispatch site in the process shares
+        # one stats-bearing object the command can report on.
+        if args.schedule_cache is not None:
+            os.environ["REPRO_SCHEDULE_CACHE"] = args.schedule_cache
+        set_default_schedule_cache(None)  # re-resolve from the environment
+        self.schedule_cache = default_schedule_cache()
+        set_default_schedule_cache(self.schedule_cache)
+        self.run_id = new_run_id(kind)
+        self.ledger = _ledger_from_args(args)
+        self.tracer = NULL_TRACER
+        self.metrics = NULL_METRICS
+        self.wall_s = 0.0
+
+    def use_tracer(self, seed: int, clock_ghz: float | None = None, enabled: bool | None = None):
+        """Build the tracer (``--trace-out`` unless ``enabled`` overrides):
+        simulated cycles at ``clock_ghz``, else wall-clock time."""
+        from repro.obs.tracer import Tracer
+
+        if self.args.trace_out if enabled is None else enabled:
+            if clock_ghz is None:
+                self.tracer = Tracer.wall(run_id=self.run_id, seed=seed)
+            else:
+                self.tracer = Tracer.for_cycles(clock_ghz, run_id=self.run_id, seed=seed)
+        return self.tracer
+
+    def use_metrics(self, seed: int, every: int = 64, live: bool = False):
+        """Build the metric stream for ``--metrics-out`` (or a live printer)."""
+        from repro.obs.metrics import MetricStream
+
+        if self.args.metrics_out or live:
+            self.metrics = MetricStream(
+                every=every,
+                on_snapshot=_live_printer(self.kind) if live else None,
+                run_id=self.run_id,
+                seed=seed,
+            )
+        return self.metrics
+
+    @contextlib.contextmanager
+    def timed(self):
+        """Time the body into ``wall_s`` (profiled if the verb asks)."""
+        args = self.args
+        wall_t0 = time.perf_counter()
+        with _maybe_profile(getattr(args, "profile", False), getattr(args, "profile_out", None)):
+            yield
+        self.wall_s = time.perf_counter() - wall_t0
+
+    def print_schedule_stats(self) -> None:
+        cache = self.schedule_cache
+        if not cache or not cache.stats.lookups:
+            return
+        print(
+            f"schedule cache: {cache.stats.hits} hits / {cache.stats.misses} misses "
+            f"({len(cache)} tuned schedules at {cache.path})"
+        )
+
+    def export(self, **meta) -> None:
+        """Write the ``--trace-out`` / ``--metrics-out`` artifacts, if requested."""
+        from repro.obs import export_metrics_csv, export_metrics_json, write_chrome_trace
+
+        args, tracer, metrics = self.args, self.tracer, self.metrics
+        if args.trace_out and tracer:
+            print(f"wrote {write_chrome_trace(tracer, args.trace_out)}")
+        if args.metrics_out and metrics:
+            if args.metrics_out.endswith(".csv"):
+                print(f"wrote {export_metrics_csv(metrics, args.metrics_out)}")
+            else:
+                meta = {"command": self.kind, **meta, "run_id": self.run_id}
+                print(f"wrote {export_metrics_json(metrics, args.metrics_out, meta=meta)}")
+
+    def record(self, name: str, label: str = "", **fields) -> None:
+        """Append the ledger record and print where it went."""
+        record = self.ledger.record(
+            self.kind, name, run_id=self.run_id, wall_s=self.wall_s, **fields
+        )
+        if self.ledger:
+            print(f"ledger: {record.run_id}{label} -> {self.ledger.path}")
 
 
 def cmd_generate(args) -> int:
@@ -301,37 +375,25 @@ def cmd_models(args) -> int:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    schedule_cache = _schedule_cache_from_args(args)
+    ctx = _RunContext(args, "run")
     kwargs = {"seq": args.seq} if args.model == "bert" else {"input_hw": args.input_hw}
     graph = build_model(args.model, **kwargs)
     soc = make_soc(gemmini=config, cpu=args.cpu)
     model = compile_graph(graph, SoftwareParams.from_config(config))
 
-    from repro.obs import new_run_id
-    from repro.obs.tracer import NULL_TRACER, Tracer
-
-    run_id = new_run_id("run")
-    want_obs = args.trace_out or args.metrics_out
-    tracer = (
-        Tracer.for_cycles(config.clock_ghz, run_id=run_id, seed=args.seed)
-        if want_obs
-        else NULL_TRACER
+    tracer = ctx.use_tracer(
+        args.seed, config.clock_ghz, enabled=bool(args.trace_out or args.metrics_out)
     )
     tracer.declare_lane(soc.tile.name, process="run", label=f"{soc.tile.name} [{args.model}]")
-    wall_t0 = time.perf_counter()
-    with _maybe_profile(args.profile, args.profile_out):
+    with ctx.timed():
         result = Runtime(
-            soc.tile, model, tracer=tracer, schedule_cache=schedule_cache
+            soc.tile, model, tracer=tracer, schedule_cache=ctx.schedule_cache
         ).run()
-    wall_s = time.perf_counter() - wall_t0
 
-    metrics = None
-    if args.metrics_out:
+    metrics = ctx.use_metrics(args.seed)
+    if metrics:
         # A single model execution records layer spans; fold them into the
         # same streaming-metrics document shape the serving engine emits.
-        from repro.obs.metrics import MetricStream
-
-        metrics = MetricStream(run_id=run_id, seed=args.seed)
         to_ms = 1.0 / (config.clock_ghz * 1e6)
         for event in tracer.events():
             if event[0] != "X":
@@ -375,21 +437,14 @@ def cmd_run(args) -> int:
         f"DRAM {soc.mem.dram.bytes_moved / 1e6:.1f} MB, "
         f"TLB private hit {soc.tile.accel.xlat.hit_rate_including_filters():.1%}"
     )
-    _print_schedule_stats(schedule_cache)
-    _export_obs(
-        args, tracer, metrics,
-        meta={"command": "run", "model": args.model, "seed": args.seed,
-              "run_id": run_id},
-    )
+    ctx.print_schedule_stats()
+    ctx.export(model=args.model, seed=args.seed)
     from repro.eval.runner import config_hash
 
-    ledger = _ledger_from_args(args)
-    record = ledger.record(
-        "run",
+    stats = ctx.schedule_cache.stats
+    ctx.record(
         args.model,
-        run_id=run_id,
         seed=args.seed,
-        wall_s=wall_s,
         config_hash=config_hash(config),
         workload_hash=config_hash({"model": args.model, **kwargs}),
         workload={"model": args.model, **kwargs},
@@ -400,25 +455,22 @@ def cmd_run(args) -> int:
             "tops_per_watt": energy.tops_per_watt(config.clock_ghz),
             "l2_miss_rate": soc.mem.l2.miss_rate(),
             "dram_bytes": soc.mem.dram.bytes_moved,
-            "schedule_lookups": schedule_cache.stats.lookups,
-            "schedule_hits": schedule_cache.stats.hits,
-            "schedule_misses": schedule_cache.stats.misses,
+            "schedule_lookups": stats.lookups,
+            "schedule_hits": stats.hits,
+            "schedule_misses": stats.misses,
         },
     )
-    if ledger:
-        print(f"ledger: {record.run_id} -> {ledger.path}")
     return 0
 
 
 def cmd_tune(args) -> int:
     """Auto-tune matmul schedules for zoo models into the schedule cache."""
     from repro.eval.runner import config_hash
-    from repro.obs import new_run_id
-    from repro.obs.tracer import NULL_TRACER, Tracer
     from repro.sw.tune import tune_model
 
     config = _config_from_args(args)
-    cache = _schedule_cache_from_args(args)
+    ctx = _RunContext(args, "tune")
+    cache = ctx.schedule_cache
     if not cache:
         print(
             "schedule cache is disabled (REPRO_SCHEDULE_CACHE=off); "
@@ -431,9 +483,7 @@ def cmd_tune(args) -> int:
         models = list(model_names())
     models = list(dict.fromkeys(models))
 
-    run_id = new_run_id("tune")
-    tracer = Tracer.wall(run_id=run_id, seed=0) if args.trace_out else NULL_TRACER
-    ledger = _ledger_from_args(args)
+    tracer = ctx.use_tracer(seed=0)
     print(f"config: {config.describe()}")
     print(f"cache: {cache.path}")
 
@@ -443,16 +493,15 @@ def cmd_tune(args) -> int:
         kwargs = {"seq": args.seq} if name == "bert" else {"input_hw": args.input_hw}
         graph = build_model(name, **kwargs)
         model = compile_graph(graph, SoftwareParams.from_config(config))
-        wall_t0 = time.perf_counter()
-        results = tune_model(
-            model,
-            config,
-            cache=cache,
-            verify_top_k=args.verify_top,
-            force=args.force,
-            tracer=tracer,
-        )
-        wall_s = time.perf_counter() - wall_t0
+        with ctx.timed():
+            results = tune_model(
+                model,
+                config,
+                cache=cache,
+                verify_top_k=args.verify_top,
+                force=args.force,
+                tracer=tracer,
+            )
         greedy_cycles = sum(r.greedy_cycles or 0.0 for r in results)
         tuned_cycles = sum(r.tuned_cycles or 0.0 for r in results)
         cached = sum(1 for r in results if r.cached)
@@ -469,15 +518,13 @@ def cmd_tune(args) -> int:
                 f"{greedy_cycles / 1e6:.3f}",
                 f"{tuned_cycles / 1e6:.3f}",
                 f"{improvement_pct:+.2f}%",
-                f"{wall_s:.1f}s",
+                f"{ctx.wall_s:.1f}s",
             )
         )
-        record = ledger.record(
-            "tune",
+        ctx.record(
             name,
-            run_id=run_id,
+            label=f" [{name}]",
             seed=0,
-            wall_s=wall_s,
             config_hash=config_hash(config),
             workload_hash=config_hash({"model": name, **kwargs}),
             workload={"model": name, **kwargs, "verify_top": args.verify_top},
@@ -491,8 +538,6 @@ def cmd_tune(args) -> int:
                 "improvement_pct": improvement_pct,
             },
         )
-        if ledger:
-            print(f"ledger: {record.run_id} [{name}] -> {ledger.path}")
         if tuned_cycles > greedy_cycles:
             exit_code = 1  # the never-worse contract was violated
     print(
@@ -505,7 +550,7 @@ def cmd_tune(args) -> int:
         )
     )
     print(f"cache now holds {len(cache)} tuned schedules")
-    _export_obs(args, tracer, None, meta={"command": "tune", "run_id": run_id})
+    ctx.export()
     return exit_code
 
 
@@ -627,7 +672,8 @@ def cmd_dse(args) -> int:
     )
     from repro.eval.runner import ExperimentRunner
 
-    _schedule_cache_from_args(args)  # exported to the evaluator pool via env
+    # The schedule cache is exported to the evaluator pool via the env.
+    ctx = _RunContext(args, "dse")
     if args.workload == "conv":
         workload = conv_workload()
     else:
@@ -646,9 +692,8 @@ def cmd_dse(args) -> int:
         space = mix_space(tuple(args.mix), max_tiles=args.mix_max_tiles)
     else:
         space = gemmini_space(max_dim=args.max_dim)
-    batch_eval = not args.scalar_eval
     strategy_options = {}
-    if batch_eval and args.fidelity == "analytic" and spec.traffic is None:
+    if args.fidelity == "analytic" and spec.traffic is None:
         if args.strategy in ("grid", "random"):
             # Coverage strategies' traces are invariant to the ask batch
             # size; bigger slabs amortise the vectorised evaluator better.
@@ -656,30 +701,20 @@ def cmd_dse(args) -> int:
     strategy = make_strategy(args.strategy, space, seed=args.seed, **strategy_options)
     bounds = tuple(parse_bound(text) for text in args.constraint)
 
-    from repro.obs import new_run_id
-    from repro.obs.metrics import NULL_METRICS, MetricStream
-    from repro.obs.tracer import NULL_TRACER, Tracer
-
     # DSE orchestration runs in real time: wall-clock tracer, one metrics
     # snapshot per generation (searches have few generations, each costly).
-    run_id = new_run_id("dse")
-    tracer = Tracer.wall(run_id=run_id, seed=args.seed) if args.trace_out else NULL_TRACER
-    metrics = (
-        MetricStream(every=1, run_id=run_id, seed=args.seed)
-        if args.metrics_out
-        else NULL_METRICS
-    )
+    tracer = ctx.use_tracer(args.seed)
+    metrics = ctx.use_metrics(args.seed, every=1)
 
     cache_dir = args.cache_dir or default_cache_dir()
-    wall_t0 = time.perf_counter()
-    with ExperimentRunner(max_workers=args.workers, cache=cache_dir, tracer=tracer) as runner:
-        explorer = Explorer(
-            space, strategy, spec, budget=args.budget, bounds=bounds, runner=runner,
-            batch_eval=batch_eval, tracer=tracer, metrics=metrics,
-        )
-        result = explorer.explore()
-        stats = runner.stats()
-    wall_s = time.perf_counter() - wall_t0
+    with ctx.timed():
+        with ExperimentRunner(max_workers=args.workers, cache=cache_dir, tracer=tracer) as runner:
+            explorer = Explorer(
+                space, strategy, spec, budget=args.budget, bounds=bounds, runner=runner,
+                tracer=tracer, metrics=metrics,
+            )
+            result = explorer.explore()
+            stats = runner.stats()
 
     print(front_table(result, extra_metrics=("fmax_ghz", "throughput_gmacs")))
     print(
@@ -693,11 +728,7 @@ def cmd_dse(args) -> int:
         print(f"wrote {export_json(result, args.export_json)}")
     if args.export_csv:
         print(f"wrote {export_csv(result, args.export_csv)}")
-    _export_obs(
-        args, tracer, metrics,
-        meta={"command": "dse", "seed": args.seed, "strategy": args.strategy,
-              "run_id": run_id},
-    )
+    ctx.export(seed=args.seed, strategy=args.strategy)
     from repro.eval.runner import config_hash
 
     search = {
@@ -708,13 +739,9 @@ def cmd_dse(args) -> int:
         "mix": list(args.mix),
         "fidelity": args.fidelity,
     }
-    ledger = _ledger_from_args(args)
-    record = ledger.record(
-        "dse",
+    ctx.record(
         f"{args.strategy}:{args.workload}",
-        run_id=run_id,
         seed=args.seed,
-        wall_s=wall_s,
         workload_hash=config_hash(search),
         workload=search,
         metrics={
@@ -727,8 +754,6 @@ def cmd_dse(args) -> int:
             "cache_misses": stats.misses,
         },
     )
-    if ledger:
-        print(f"ledger: {record.run_id} -> {ledger.path}")
     return 0 if result.front else 1
 
 
@@ -745,16 +770,10 @@ def cmd_serve(args) -> int:
 
     if args.horizon_hours is not None and args.horizon_ms is not None:
         args.parser.error("pass --horizon-ms or --horizon-hours, not both")
-    if args.checkpoint_every is not None and args.engine != "event":
-        args.parser.error("--checkpoint-every requires --engine event")
     record_mode = args.record_mode or (
         "stream" if args.horizon_hours is not None else "exact"
     )
-    schedule_cache = _schedule_cache_from_args(args)
-
-    from repro.obs import new_run_id
-    from repro.obs.metrics import NULL_METRICS, MetricStream
-    from repro.obs.tracer import NULL_TRACER, Tracer
+    ctx = _RunContext(args, "serve")
 
     if args.resume:
         from repro.serve.checkpoint import load_checkpoint
@@ -771,16 +790,12 @@ def cmd_serve(args) -> int:
         profile = sim.profile
         design = sim.design
         config = sim.gemmini
-        tracer = sim.tracer
-        metrics = sim.metrics
-        if args.live_metrics and metrics is not NULL_METRICS:
-            metrics.on_snapshot = _live_printer("serve")
-        run_id = getattr(tracer, "run_id", None) or new_run_id("serve")
+        ctx.tracer = sim.tracer
+        ctx.metrics = sim.metrics
+        if args.live_metrics and ctx.metrics:
+            ctx.metrics.on_snapshot = _live_printer("serve")
+        ctx.run_id = getattr(ctx.tracer, "run_id", None) or ctx.run_id
         print(f"resuming: {args.resume}")
-        wall_t0 = time.perf_counter()
-        with _maybe_profile(args.profile, args.profile_out):
-            result = sim.run()
-        wall_s = time.perf_counter() - wall_t0
     else:
         design = None
         if args.design:
@@ -818,22 +833,7 @@ def cmd_serve(args) -> int:
             )
             profile = TrafficProfile(tenants=tenants, **profile_kwargs)
 
-        run_id = new_run_id("serve")
         clock_ghz = design.clock_ghz if design is not None else config.clock_ghz
-        tracer = (
-            Tracer.for_cycles(clock_ghz, run_id=run_id, seed=profile.seed)
-            if args.trace_out
-            else NULL_TRACER
-        )
-        if args.metrics_out or args.live_metrics:
-            metrics = MetricStream(
-                every=args.live_metrics or 64,
-                on_snapshot=_live_printer("serve") if args.live_metrics else None,
-                run_id=run_id,
-                seed=profile.seed,
-            )
-        else:
-            metrics = NULL_METRICS
         checkpoint_path = args.checkpoint_path
         if args.checkpoint_every is not None and checkpoint_path is None:
             checkpoint_path = "serve.ckpt"
@@ -841,18 +841,17 @@ def cmd_serve(args) -> int:
         sim = ServingSimulation(
             profile,
             replay=not args.no_replay,
-            tracer=tracer,
-            metrics=metrics,
-            engine=args.engine,
+            tracer=ctx.use_tracer(profile.seed, clock_ghz),
+            metrics=ctx.use_metrics(
+                profile.seed, every=args.live_metrics or 64, live=bool(args.live_metrics)
+            ),
             record_mode=record_mode,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=checkpoint_path,
             **soc_kwargs,
         )
-        wall_t0 = time.perf_counter()
-        with _maybe_profile(args.profile, args.profile_out):
-            result = sim.run()
-        wall_s = time.perf_counter() - wall_t0
+    with ctx.timed():
+        result = sim.run()
 
     print(f"seed: {profile.seed}")
     if design is not None:
@@ -874,19 +873,16 @@ def cmd_serve(args) -> int:
     )
     if result.checkpoints:
         print(f"checkpoints: {result.checkpoints} written to {sim.checkpoint_path}")
-    _print_schedule_stats(schedule_cache)
+    ctx.print_schedule_stats()
     if args.export_json:
         print(f"wrote {export_serve_json(result, args.export_json)}")
     if args.export_csv:
         print(f"wrote {export_serve_csv(result, args.export_csv)}")
-    _export_obs(
-        args, tracer, metrics,
-        meta={"command": "serve", "seed": profile.seed, "scheduler": profile.scheduler,
-              "run_id": run_id},
-    )
+    ctx.export(seed=profile.seed, scheduler=profile.scheduler)
     from repro.eval.runner import config_hash
 
     mix = "+".join(spec.model for spec in profile.tenants)
+    stats = ctx.schedule_cache.stats
     serve_metrics = dict(report.overall.summary())
     serve_metrics.update({
         "fairness": report.fairness,
@@ -897,16 +893,12 @@ def cmd_serve(args) -> int:
         "replayed": result.replayed,
         "peak_inflight": result.peak_inflight,
         "peak_pending": result.peak_pending,
-        "schedule_lookups": schedule_cache.stats.lookups,
-        "schedule_hits": schedule_cache.stats.hits,
+        "schedule_lookups": stats.lookups,
+        "schedule_hits": stats.hits,
     })
-    ledger = _ledger_from_args(args)
-    record = ledger.record(
-        "serve",
+    ctx.record(
         f"{profile.scheduler}:{mix}",
-        run_id=run_id,
         seed=profile.seed,
-        wall_s=wall_s,
         config_hash=config_hash(design if design is not None else config),
         workload_hash=config_hash(profile),
         workload={
@@ -918,8 +910,6 @@ def cmd_serve(args) -> int:
         },
         metrics=serve_metrics,
     )
-    if ledger:
-        print(f"ledger: {record.run_id} -> {ledger.path}")
     return 0 if result.completed else 1
 
 
@@ -1173,17 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline", action="store_true", help="also compute the CPU-only baseline"
     )
     p_run.add_argument("--seed", type=int, default=0, help="reproducibility seed (echoed)")
-    p_run.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top-20 cumulative entries",
-    )
-    p_run.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="dump raw cProfile pstats data to this file (implies profiling)",
-    )
+    _add_profile_args(p_run)
     _add_schedule_cache_arg(p_run)
     _add_obs_args(p_run)
     _add_ledger_args(p_run)
@@ -1289,11 +1269,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="analytic",
         help="cost model: closed-form array model or full SoC simulation",
     )
-    p_dse.add_argument(
-        "--scalar-eval",
-        action="store_true",
-        help="force the per-point scalar evaluator (skip the batched analytic fast path)",
-    )
     p_dse.add_argument("--workers", type=int, default=None, help="parallel evaluator processes")
     p_dse.add_argument(
         "--cache-dir",
@@ -1373,13 +1348,6 @@ def build_parser() -> argparse.ArgumentParser:
         "time; implies --record-mode stream (O(in-flight) memory)",
     )
     p_serve.add_argument(
-        "--engine",
-        choices=("event", "lockstep"),
-        default="event",
-        help="cluster driver: the incremental event loop (streaming arrivals, "
-        "O(in-flight) memory) or the historical lockstep baseline",
-    )
-    p_serve.add_argument(
         "--record-mode",
         choices=("exact", "stream"),
         default=None,
@@ -1393,7 +1361,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="write a resumable checkpoint at the first quiescent point "
-        "after every N completions (event engine only)",
+        "after every N completions",
     )
     p_serve.add_argument(
         "--checkpoint-path",
@@ -1420,17 +1388,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="force every request down the per-macro-op recording path "
         "(skip the trace record/replay fast path)",
     )
-    p_serve.add_argument(
-        "--profile",
-        action="store_true",
-        help="run under cProfile and print the top-20 cumulative entries",
-    )
-    p_serve.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="dump raw cProfile pstats data to this file (implies profiling)",
-    )
+    _add_profile_args(p_serve)
     _add_schedule_cache_arg(p_serve)
     _add_obs_args(p_serve, live=True)
     _add_ledger_args(p_serve)

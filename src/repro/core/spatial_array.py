@@ -24,12 +24,6 @@ from repro.core.config import Dataflow, GemminiConfig
 # Structural, cycle-exact model                                           #
 # ---------------------------------------------------------------------- #
 
-#: Structural-simulation backends.  ``scalar`` steps every PE in Python
-#: (the reference implementation); ``vectorized`` advances the whole array
-#: per cycle with numpy wavefront slabs and is bitwise-identical to it.
-STRUCTURAL_BACKENDS = ("scalar", "vectorized")
-
-
 class StructuralMesh:
     """Cycle-exact two-level spatial array (Figure 2 microarchitecture).
 
@@ -38,38 +32,24 @@ class StructuralMesh:
     Inputs are fed with the skew the register structure requires, exactly as
     the RTL's edge shifters do.
 
-    Two backends simulate the same hardware:
+    ``run_ws``/``run_os`` advance the whole array with one numpy slab
+    update per cycle.  Within a tile, operand wires are constant along the
+    combinational direction and partial sums are a running (cumulative)
+    sum down the tile, so each cycle reduces to gathers, a broadcasted
+    multiply, and per-tile-row cumulative sums.
 
-    * ``scalar`` — the original triple-nested per-PE loops.  Trivially
-      auditable against the RTL; slow (O(dim^2) Python work per cycle).
-    * ``vectorized`` — one numpy slab update over the whole array per
-      cycle.  Within a tile, operand wires are constant along the
-      combinational direction and partial sums are a running (cumulative)
-      sum down the tile, so each cycle reduces to gathers, a broadcasted
-      multiply, and per-tile-row cumulative sums.  The arithmetic is
-      performed in exactly the same order as the scalar path, so outputs
-      and cycle counts are bitwise identical (enforced by property tests).
-
-    The default backend comes from ``config.structural_backend``; both the
-    constructor and the ``run_*`` methods accept an override.
+    ``_run_ws_scalar``/``_run_os_scalar`` are the reference: the original
+    triple-nested per-PE loops, trivially auditable against the RTL but
+    slow (O(dim^2) Python work per cycle).  The slab updates perform the
+    arithmetic in exactly the same order, so outputs and cycle counts are
+    bitwise identical to the reference (enforced by property tests).
     """
 
-    def __init__(self, config: GemminiConfig, backend: str | None = None) -> None:
+    def __init__(self, config: GemminiConfig) -> None:
         self.config = config
         self.dim = config.dim
         self.tile_rows = config.tile_rows
         self.tile_cols = config.tile_cols
-        self.backend = self._check_backend(
-            backend if backend is not None else config.structural_backend
-        )
-
-    @staticmethod
-    def _check_backend(backend: str) -> str:
-        if backend not in STRUCTURAL_BACKENDS:
-            raise ValueError(
-                f"unknown structural backend {backend!r}; expected one of {STRUCTURAL_BACKENDS}"
-            )
-        return backend
 
     # -- register-count helpers ---------------------------------------- #
 
@@ -96,9 +76,7 @@ class StructuralMesh:
 
     # -- weight-stationary --------------------------------------------- #
 
-    def run_ws(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray, backend: str | None = None
-    ) -> tuple[np.ndarray, int]:
+    def run_ws(self, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
         """Compute ``C = D + A @ B`` cycle by cycle.
 
         ``a`` is (m, dim), ``b`` is (dim, dim) stationary, ``d`` is (m, dim).
@@ -111,10 +89,7 @@ class StructuralMesh:
         a = a.astype(np.float64)
         b = b.astype(np.float64)
         d = d.astype(np.float64)
-        backend = self._check_backend(backend if backend is not None else self.backend)
-        if backend == "vectorized":
-            return self._run_ws_vectorized(a, b, d)
-        return self._run_ws_scalar(a, b, d)
+        return self._run_ws_vectorized(a, b, d)
 
     def _run_ws_scalar(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
@@ -255,9 +230,7 @@ class StructuralMesh:
 
     # -- output-stationary ---------------------------------------------- #
 
-    def run_os(
-        self, a: np.ndarray, b: np.ndarray, d: np.ndarray, backend: str | None = None
-    ) -> tuple[np.ndarray, int]:
+    def run_os(self, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, int]:
         """Compute ``C = D + A @ B`` with C resident in the PEs.
 
         ``a`` is (dim, k), ``b`` is (k, dim), ``d`` is (dim, dim).
@@ -269,10 +242,7 @@ class StructuralMesh:
             raise ValueError("run_os shape mismatch")
         a = a.astype(np.float64)
         b = b.astype(np.float64)
-        backend = self._check_backend(backend if backend is not None else self.backend)
-        if backend == "vectorized":
-            return self._run_os_vectorized(a, b, d)
-        return self._run_os_scalar(a, b, d)
+        return self._run_os_vectorized(a, b, d)
 
     def _run_os_scalar(
         self, a: np.ndarray, b: np.ndarray, d: np.ndarray
@@ -464,7 +434,8 @@ class MatmulCostBatch:
 
     Every field is a numpy array (or broadcastable scalar); the arithmetic
     mirrors :meth:`SpatialArrayModel.matmul_cost` term for term so the
-    batched DSE fast path stays within 1e-9 of the scalar evaluator.
+    batched DSE fast path stays within 1e-9 of :func:`~repro.dse.objectives
+    .evaluate_design`.
     """
 
     compute_cycles: np.ndarray

@@ -542,7 +542,7 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     The fast path only covers the analytic fidelity without a traffic
     profile, on points made of the standard :func:`~repro.dse.space
     .gemmini_space` axes; ``fidelity="soc"``, serving objectives and
-    points carrying other config keys fall back to the scalar evaluator
+    points carrying other config keys fall back to :func:`evaluate_design`
     point by point.  Module-level and pure-data in/out, so batches ship
     through :class:`~repro.eval.runner.ExperimentRunner` workers and cache
     under content-hash keys.

@@ -8,14 +8,13 @@ behind, so accesses to shared state (the L2 cache, the DRAM channel, the
 shared TLB) are applied in approximately global time order — the property
 the paper's dual-core contention study (Figure 9c) depends on.
 
-Unlike the original lockstep merge, the loop is *incremental*: actors can
-be added at an explicit clock (resuming a checkpointed simulation), an
-actor can withdraw (park) and be re-added later, and the loop can run up
-to a time bound and hand control back.  The serving cluster engine builds
-its O(in-flight) core on these hooks; :func:`lockstep_merge` remains as a
-thin compatibility wrapper with the historical generator-based API and
-bitwise-identical stepping order (ties on equal clocks go to the lowest
-actor index).
+The loop is *incremental*: actors can be added at an explicit clock
+(resuming a checkpointed simulation), an actor can withdraw (park) and be
+re-added later, and the loop can run up to a time bound and hand control
+back.  The serving cluster engine builds its O(in-flight) core on these
+hooks.  :func:`lockstep_merge` is the run-to-completion form for plain
+generators (the multicore figure's per-core runtimes): the same loop and
+stepping order, ties on equal clocks going to the lowest actor index.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ class EventLoop:
     Each heap entry is ``(clock, index, actor)``; the loop pops the
     smallest, steps that actor once, and re-enters it at its new clock.
     Equal clocks resolve by actor index, so a fixed actor set replays the
-    exact historical ``lockstep_merge`` interleaving.
+    same interleaving on every run.
 
     An actor that yields a decreasing time raises ``ValueError`` — that
     always indicates a bookkeeping bug in a model, and silently accepting
@@ -131,8 +130,8 @@ def lockstep_merge(streams: Iterable[Generator[float, None, None]]) -> list[floa
 
     Each generator yields its current local time (non-decreasing) after
     each unit of work.  Returns the final local time of each stream, in
-    the order given.  Compatibility wrapper over :class:`EventLoop`: every
-    stream is primed in order, then the loop steps the smallest
+    the order given.  A helper over :class:`EventLoop`: every stream is
+    primed in order, then the loop steps the smallest
     ``(clock, index)`` until all streams are exhausted — the exact
     selection order (ties to the lowest stream index) that keeps dual-core
     runs deterministic.

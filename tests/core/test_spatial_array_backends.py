@@ -1,9 +1,10 @@
-"""Scalar-vs-vectorized structural backend parity.
+"""Vectorized structural mesh vs its per-PE scalar reference.
 
-The vectorized wavefront backend must be *bitwise* identical to the
-per-PE scalar reference — same output bits, same cycle counts — for any
-array geometry, dataflow, operand shape and dtype.  These property tests
-are what let the vectorized path replace the scalar one as the default.
+``run_ws``/``run_os`` (vectorized wavefronts) must be *bitwise* identical
+to the per-PE reference loops ``_run_ws_scalar``/``_run_os_scalar`` — same
+output bits, same cycle counts — for any array geometry, dataflow, operand
+shape and dtype.  These property tests are what let the vectorized path be
+the mesh's only simulation path.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.accelerator import Accelerator
 from repro.core.config import GemminiConfig
-from repro.core.spatial_array import STRUCTURAL_BACKENDS, StructuralMesh
+from repro.core.spatial_array import StructuralMesh
 
 
 def make_config(dim, tile_rows, tile_cols, **kwargs):
@@ -48,6 +49,11 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dtypes = st.sampled_from(["int8", "int32", "float32", "float64"])
 
 
+def _f64(*arrays):
+    """The float64 operands ``run_ws``/``run_os`` hand their simulator."""
+    return [x.astype(np.float64) for x in arrays]
+
+
 def _operands(rng, shape, dtype):
     if dtype.startswith("int"):
         return rng.integers(-100, 100, size=shape).astype(dtype)
@@ -64,8 +70,8 @@ class TestBackendParityWS:
         a = _operands(rng, (m, dim), dtype)
         b = _operands(rng, (dim, dim), dtype)
         d = _operands(rng, (m, dim), dtype)
-        out_s, cyc_s = mesh.run_ws(a, b, d, backend="scalar")
-        out_v, cyc_v = mesh.run_ws(a, b, d, backend="vectorized")
+        out_s, cyc_s = mesh._run_ws_scalar(*_f64(a, b, d))
+        out_v, cyc_v = mesh.run_ws(a, b, d)
         assert cyc_s == cyc_v
         assert out_s.dtype == out_v.dtype
         assert np.array_equal(out_s, out_v)  # bitwise: no tolerance
@@ -80,7 +86,7 @@ class TestBackendParityWS:
         a = rng.integers(-8, 8, size=(5, dim))
         b = rng.integers(-8, 8, size=(dim, dim))
         d = rng.integers(-8, 8, size=(5, dim))
-        out, __ = mesh.run_ws(a, b, d, backend="vectorized")
+        out, __ = mesh.run_ws(a, b, d)
         assert np.array_equal(out, (d + a @ b).astype(np.float64))
 
 
@@ -94,8 +100,8 @@ class TestBackendParityOS:
         a = _operands(rng, (dim, k), dtype)
         b = _operands(rng, (k, dim), dtype)
         d = _operands(rng, (dim, dim), dtype)
-        out_s, cyc_s = mesh.run_os(a, b, d, backend="scalar")
-        out_v, cyc_v = mesh.run_os(a, b, d, backend="vectorized")
+        out_s, cyc_s = mesh._run_os_scalar(*_f64(a, b, d))
+        out_v, cyc_v = mesh.run_os(a, b, d)
         assert cyc_s == cyc_v
         assert out_s.dtype == out_v.dtype
         assert np.array_equal(out_s, out_v)
@@ -109,34 +115,8 @@ class TestBackendParityOS:
         a = rng.integers(-8, 8, size=(dim, 7))
         b = rng.integers(-8, 8, size=(7, dim))
         d = rng.integers(-8, 8, size=(dim, dim))
-        out, __ = mesh.run_os(a, b, d, backend="vectorized")
+        out, __ = mesh.run_os(a, b, d)
         assert np.array_equal(out, (d + a @ b).astype(np.float64))
-
-
-class TestBackendSelection:
-    def test_backends_registry(self):
-        assert STRUCTURAL_BACKENDS == ("scalar", "vectorized")
-
-    def test_default_comes_from_config(self):
-        cfg = make_config(4, 2, 2, structural_backend="scalar")
-        assert StructuralMesh(cfg).backend == "scalar"
-        assert StructuralMesh(make_config(4, 2, 2)).backend == "vectorized"
-
-    def test_constructor_override(self):
-        cfg = make_config(4, 2, 2, structural_backend="scalar")
-        assert StructuralMesh(cfg, backend="vectorized").backend == "vectorized"
-
-    def test_unknown_backend_rejected(self):
-        cfg = make_config(4, 1, 1)
-        with pytest.raises(ValueError, match="backend"):
-            StructuralMesh(cfg, backend="cuda")
-        mesh = StructuralMesh(cfg)
-        with pytest.raises(ValueError, match="backend"):
-            mesh.run_ws(np.zeros((2, 4)), np.zeros((4, 4)), np.zeros((2, 4)), backend="no")
-
-    def test_unknown_backend_rejected_in_config(self):
-        with pytest.raises(ValueError, match="structural_backend"):
-            make_config(4, 1, 1, structural_backend="cuda")
 
 
 class TestStructuralCheckMode:

@@ -170,23 +170,28 @@ class TestFallbacks:
 
 class TestExplorerIntegration:
     def test_batched_explorer_matches_scalar_explorer(self):
-        """End to end: the default (batched) explorer and batch_eval=False
-        produce the identical trace, front and hypervolume."""
-        from repro.dse import Explorer, make_strategy
+        """End to end: re-scoring every point the (batched) explorer
+        evaluated through the scalar evaluate_design reproduces its trace,
+        front and hypervolume."""
+        from repro.dse import (
+            Explorer,
+            front_hypervolume,
+            make_strategy,
+            parse_objectives,
+            split_front,
+        )
 
         space = gemmini_space(max_dim=8)
-        results = []
-        for batch_eval in (True, False):
-            strategy = make_strategy("evolutionary", space, seed=0)
-            results.append(
-                Explorer(
-                    space, strategy, EvaluationSpec(), budget=16, batch_eval=batch_eval
-                ).explore()
-            )
-        fast, scalar = results
-        assert [e.point for e in fast.trace] == [e.point for e in scalar.trace]
-        assert [e.point for e in fast.front] == [e.point for e in scalar.front]
-        for f, s in zip(fast.trace, scalar.trace):
+        spec = EvaluationSpec()
+        strategy = make_strategy("evolutionary", space, seed=0)
+        fast = Explorer(space, strategy, spec, budget=16).explore()
+        scalar = [evaluate_design(e.point_dict, spec) for e in fast.trace]
+        assert [e.point for e in fast.trace] == [e.point for e in scalar]
+        for f, s in zip(fast.trace, scalar):
             for name in ANALYTIC_METRICS:
                 assert math.isclose(f.metric(name), s.metric(name), rel_tol=1e-9)
-        assert math.isclose(fast.hypervolume, scalar.hypervolume, rel_tol=1e-9)
+        objectives = parse_objectives(spec.objectives)
+        front, __ = split_front(scalar, objectives)
+        assert [e.point for e in fast.front] == [e.point for e in front]
+        hypervolume = front_hypervolume(front, objectives, fast.reference)
+        assert math.isclose(fast.hypervolume, hypervolume, rel_tol=1e-9)

@@ -58,13 +58,6 @@ class TestConfigHash:
     def test_dict_keys_of_different_types_stay_distinct(self):
         assert config_hash({1: "a", "1": "b"}) != config_hash({1: "z", "1": "b"})
 
-    def test_backend_knob_does_not_affect_config_identity(self):
-        """structural_backend is a simulation choice, not hardware."""
-        scalar = GemminiConfig(structural_backend="scalar")
-        vectorized = GemminiConfig(structural_backend="vectorized")
-        assert scalar == vectorized
-        assert config_hash(scalar) == config_hash(vectorized)
-
     def test_large_arrays_hash_by_content(self):
         """repr() truncates big arrays; the hash must still see every element."""
         import numpy as np
