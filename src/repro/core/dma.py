@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.core.config import GemminiConfig
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.page_table import VirtualMemory
-from repro.mem.tlb import TranslationSystem
+from repro.mem.tlb import TranslationSystem, chained_starts
 from repro.sim.stats import StatsRegistry
 from repro.sim.timeline import Timeline
 
@@ -72,70 +72,84 @@ class DMAEngine:
 
         Returns the transfer's timing summary.  Rows are pipelined on the
         channel: the channel is occupied ``bytes/bus_width`` cycles per row
-        while translation and memory latency overlap with later rows.
+        while translation and memory latency overlap with later rows.  Each
+        row translates once per page it touches, starting when its channel
+        slot begins; the TLB is single-ported, so the rows' translations
+        chain and a burst of misses (e.g. at a tile boundary) throttles the
+        whole stream — the effect the Section V-A TLB sizing study
+        measures.  A row then moves its bytes, split at page boundaries,
+        once its last translation is done; a page-split row's second chunk
+        waits for its first.
+
+        The whole transfer goes to each component as sequences in row order:
+        one channel booking, one translation call, and one memory call per
+        run of chunks that do not wait on each other.
         """
         if bytes_per_row <= 0 or nrows <= 0:
             raise ValueError("transfer must move at least one byte")
         channel = self.write_channel if is_write else self.read_channel
-        bus_bytes = self.config.dma_bus_bytes
         page_bytes = self.page_bytes
-        translate = self.xlat.translate_vpn
-        mem_access = self.mem.access
         vm = self.vm
 
-        first_start = None
-        end = now
-        tlb_requests = 0
-        translation_stall = 0.0
-        # The TLB is single-ported: successive rows' translations serialise,
-        # so a burst of misses (e.g. at a tile boundary) throttles the whole
-        # stream — the effect the Section V-A TLB sizing study measures.
-        xlat_cursor = now
+        # Row k's slot starts when row k-1's ends.
+        occupancy = max(1.0, bytes_per_row / self.config.dma_bus_bytes)
+        first_start = channel.peek(now)
+        slot_ends = channel.book_batch([now] * nrows, [occupancy] * nrows).tolist()
+        issues = [first_start] + slot_ends[:-1]
 
-        row_vaddr = vaddr
-        for _row in range(nrows):
-            occupancy = max(1.0, bytes_per_row / bus_bytes)
-            issue, channel_free = channel.book(now, occupancy)
-            if first_start is None:
-                first_start = issue
-
-            # One translation per page the row touches.
+        row_vaddrs = [vaddr + row * stride_bytes for row in range(nrows)]
+        xl_now: list[float] = []
+        vpns: list[int] = []
+        row_last_xl: list[int] = []  # index of each row's last translation
+        for issue, row_vaddr in zip(issues, row_vaddrs):
             first_vpn = row_vaddr // page_bytes
             last_vpn = (row_vaddr + bytes_per_row - 1) // page_bytes
-            xlat_done = issue if issue > xlat_cursor else xlat_cursor
-            for vpn in range(first_vpn, last_vpn + 1):
-                result = translate(xlat_done, vpn, is_write)
-                tlb_requests += 1
-                translation_stall += result.end_time - xlat_done
-                xlat_done = result.end_time
-            xlat_cursor = xlat_done
+            vpns.extend(range(first_vpn, last_vpn + 1))
+            xl_now.extend([issue] * (last_vpn - first_vpn + 1))
+            row_last_xl.append(len(vpns) - 1)
+        xl_end = self.xlat.translate_batch(xl_now, vpns, [is_write] * len(vpns)).tolist()
+        translation_stall = 0.0
+        for start, xl_done in zip(chained_starts(xl_now, xl_end), xl_end):
+            translation_stall += xl_done - start
 
-            # Physical accesses (split at page boundaries).
+        access_batch = self.mem.access_batch
+        end = slot_ends[-1]
+        times: list[float] = []
+        paddrs: list[int] = []
+        sizes: list[int] = []
+
+        def issue_pending() -> float:
+            """Issue the pending chunks; returns the last one's end time."""
+            nonlocal end
+            ends = access_batch(times, paddrs, sizes, [is_write] * len(times), requester).tolist()
+            end = max(end, *ends)
+            times.clear()
+            paddrs.clear()
+            sizes.clear()
+            return ends[-1]
+
+        for row_vaddr, last_xl in zip(row_vaddrs, row_last_xl):
+            ready = xl_end[last_xl]
             cursor = row_vaddr
-            remaining = bytes_per_row
-            access_done = xlat_done
-            while remaining > 0:
-                in_page = page_bytes - (cursor % page_bytes)
-                chunk = min(remaining, in_page)
-                if vm is not None:
-                    paddr = vm.translate(cursor)
-                else:
-                    paddr = cursor
-                access_done = mem_access(access_done, paddr, chunk, is_write, requester)
+            row_end = row_vaddr + bytes_per_row
+            while cursor < row_end:
+                chunk = min(row_end - cursor, page_bytes - cursor % page_bytes)
+                if cursor != row_vaddr:
+                    ready = issue_pending()
+                times.append(ready)
+                paddrs.append(vm.translate(cursor) if vm is not None else cursor)
+                sizes.append(chunk)
                 cursor += chunk
-                remaining -= chunk
-
-            end = max(end, access_done, channel_free)
-            row_vaddr += stride_bytes
+        issue_pending()
 
         bytes_moved = bytes_per_row * nrows
         self.stats.counter("bytes_written" if is_write else "bytes_read").add(bytes_moved)
         self.stats.counter("rows").add(nrows)
         self.stats.counter("transfers").add()
         return DMAResult(
-            start_time=first_start if first_start is not None else now,
+            start_time=first_start,
             end_time=end,
             bytes_moved=bytes_moved,
-            tlb_requests=tlb_requests,
+            tlb_requests=len(vpns),
             translation_stall=translation_stall,
         )

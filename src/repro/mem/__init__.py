@@ -21,7 +21,6 @@ from repro.mem.tlb import (
     FilterRegisters,
     TLB,
     TLBConfig,
-    TranslationResult,
     TranslationSystem,
 )
 from repro.mem.page_table import PageTable, VirtualMemory
@@ -41,7 +40,6 @@ __all__ = [
     "FilterRegisters",
     "TLB",
     "TLBConfig",
-    "TranslationResult",
     "TranslationSystem",
     "PageTable",
     "VirtualMemory",

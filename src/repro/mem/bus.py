@@ -27,18 +27,13 @@ class SystemBus:
         """Move ``nbytes`` across the bus; returns the completion time."""
         if nbytes <= 0:
             return now
-        self.stats.counter("transactions").add()
-        self.stats.counter("bytes").add(nbytes)
-        if requester:
-            self.stats.counter(f"bytes_{requester}").add(nbytes)
-        __, end = self.channel.transfer(now, nbytes)
-        return end
+        return float(self.transfer_batch([now], [nbytes], requester)[0])
 
     def transfer_batch(self, now, nbytes, requester: str = ""):
         """Move a whole FCFS sequence across the bus; returns end times.
 
-        Aggregate-equivalent to the scalar loop (one vectorised channel scan,
-        counters added once); callers must pre-filter zero-byte transfers.
+        Callers must pre-filter zero-byte transfers (:meth:`transfer` skips
+        them).
         """
         import numpy as np
 
@@ -47,10 +42,11 @@ class SystemBus:
             return np.asarray(now, dtype=np.float64)
         if int(nbytes.min()) <= 0:
             raise ValueError("batched bus transfers must move at least one byte")
+        total = int(nbytes.sum())
         self.stats.counter("transactions").add(nbytes.size)
-        self.stats.counter("bytes").add(int(nbytes.sum()))
+        self.stats.counter("bytes").add(total)
         if requester:
-            self.stats.counter(f"bytes_{requester}").add(int(nbytes.sum()))
+            self.stats.counter(f"bytes_{requester}").add(total)
         return self.channel.transfer_batch(now, nbytes)
 
     def utilisation(self, horizon: float) -> float:

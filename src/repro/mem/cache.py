@@ -6,6 +6,11 @@ outputs to *survive in the L2* until consumed several layers later, and in
 dual-core SoCs the two processes' working sets evict each other.  Those
 behaviours all emerge from an ordinary set-associative LRU model, which is
 what this module provides.
+
+:meth:`Cache.access_batch` is the cache's one timed-access implementation:
+it takes a sequence of accesses in FCFS order, and :meth:`Cache.access` is
+its length-1 form.  A sequence and the same accesses made one call at a
+time give bitwise-equal end times, LRU state and counters.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ class CacheConfig:
 class Cache:
     """A write-back, write-allocate, LRU set-associative cache.
 
-    ``lower`` is any object exposing ``access(now, addr, nbytes, is_write)
-    -> end_time`` — in practice a :class:`~repro.mem.dram.DRAMModel` or
-    another :class:`Cache`.
+    ``lower`` is any object exposing ``access_batch(now, addr, nbytes,
+    is_write) -> end_times`` and its length-1 form ``access`` — in practice
+    a :class:`~repro.mem.dram.DRAMModel` or another :class:`Cache`.
     """
 
     def __init__(self, config: CacheConfig, lower, name: str = "L2") -> None:
@@ -83,68 +88,21 @@ class Cache:
         is_write: bool,
         requester: str = "",
     ) -> float:
-        """Access a contiguous byte range; returns the completion time.
-
-        The range is decomposed into cache lines.  Hits are served at the
-        cache port bandwidth after ``hit_latency``; each miss fetches the
-        line from the lower level (plus a writeback if the victim is dirty).
-        """
+        """Access a contiguous byte range; returns the completion time."""
         if nbytes <= 0:
             return now
-        cfg = self.config
-        line = self._line
-        first = addr // line
-        last = (addr + nbytes - 1) // line
-        stats = self.stats
-        hits = 0
-        misses = 0
-        lower_end = now
-
-        for index in range(first, last + 1):
-            set_index = index % self._num_sets
-            tag = index // self._num_sets
-            ways = self._sets[set_index]
-            if tag in ways:
-                hits += 1
-                ways.move_to_end(tag)
-                if is_write:
-                    ways[tag] = True
-            else:
-                misses += 1
-                if len(ways) >= self._ways:
-                    victim_tag, victim_dirty = ways.popitem(last=False)
-                    stats.counter("evictions").add()
-                    if victim_dirty and cfg.writeback:
-                        stats.counter("writebacks").add()
-                        victim_addr = (victim_tag * self._num_sets + set_index) * line
-                        lower_end = self.lower.access(now, victim_addr, line, True)
-                # Fetch the missing line from below (write-allocate).
-                lower_end = max(
-                    lower_end, self.lower.access(now, index * line, line, False)
-                )
-                ways[tag] = is_write
-
-        stats.counter("hits").add(hits)
-        stats.counter("misses").add(misses)
-        stats.counter("accesses").add(hits + misses)
-        stats.counter("writes" if is_write else "reads").add()
-        if requester:
-            stats.counter(f"hits_{requester}").add(hits)
-            stats.counter(f"misses_{requester}").add(misses)
-
-        __, port_end = self.port.transfer(now + cfg.hit_latency, nbytes)
-        return max(port_end, lower_end)
+        return float(self.access_batch([now], [addr], [nbytes], [is_write], requester)[0])
 
     def access_batch(self, now, addr, nbytes, is_write, requester: str = ""):
         """Perform a whole FCFS sequence of accesses; returns end times.
 
-        Aggregate-equivalent to calling :meth:`access` in a loop: the LRU
-        sets evolve through the identical hit/miss/evict decisions (same
-        python structures, so mixing scalar and batched access is safe), the
-        lower level sees the same requests in the same order (batched when
-        it exposes ``access_batch``), and counters land in one aggregated
-        add per name.  Port and lower-level end times match the scalar loop
-        up to float association (see ``Timeline.book_batch``).
+        Each range is decomposed into cache lines.  Hits are served at the
+        cache port bandwidth after ``hit_latency``; each miss fetches the
+        line from the lower level (plus a writeback first if the victim is
+        dirty), and an access completes when its port transfer and all of its
+        lower-level requests have.  The lower level sees its requests in
+        access order through one ``access_batch`` call, and counters land in
+        one aggregated add per name.
         """
         import numpy as np
 
@@ -172,9 +130,8 @@ class Cache:
         evictions = 0
         writebacks = 0
         writeback_enabled = cfg.writeback
-        # Lower-level requests (earliest, addr, is_write, owner), in exactly
-        # the order the scalar loop would issue them; ``owner`` maps each
-        # back to its originating access.
+        # Lower-level requests (earliest, addr, is_write, owner), in access
+        # order; ``owner`` maps each back to its originating access.
         low: list[tuple] = []
         low_append = low.append
 
@@ -203,28 +160,16 @@ class Cache:
         if low:
             low_earliest, low_addr, low_write, low_owner = zip(*low)
             nlines = np.full(len(low), line, dtype=np.int64)
-            if hasattr(self.lower, "access_batch"):
-                low_ends = self.lower.access_batch(
-                    np.asarray(low_earliest), np.asarray(low_addr), nlines, np.asarray(low_write)
-                )
-            else:
-                low_ends = np.asarray(
-                    [
-                        self.lower.access(t, a, line, w)
-                        for t, a, w in zip(low_earliest, low_addr, low_write)
-                    ]
-                )
+            low_ends = self.lower.access_batch(
+                np.asarray(low_earliest), np.asarray(low_addr), nlines, np.asarray(low_write)
+            )
             # Per-access completion of the last lower request: owners are
             # nondecreasing, so a segment-max (reduceat) replaces the very
             # slow np.maximum.at scatter.
             owners = np.asarray(low_owner, dtype=np.int64)
-            starts = np.empty(0, dtype=np.int64)
-            if owners.size:
-                starts = np.nonzero(np.diff(owners))[0] + 1
-                starts = np.concatenate(([0], starts))
-            seg_max = np.maximum.reduceat(low_ends, starts)
+            starts = np.flatnonzero(np.diff(owners, prepend=-1))
             idx = owners[starts]
-            lower_end[idx] = np.maximum(lower_end[idx], seg_max)
+            lower_end[idx] = np.maximum(lower_end[idx], np.maximum.reduceat(low_ends, starts))
 
         stats = self.stats
         stats.counter("hits").add(hits)

@@ -4,6 +4,12 @@ The paper's SoCs use a single DDR channel behind the system bus.  At
 transaction level the two properties that shape the evaluation are (1) the
 random-access latency a cache miss pays and (2) the channel bandwidth all
 requesters share.  Both are first-class parameters here.
+
+:meth:`DRAMModel.access_batch` is the model's one timed-access
+implementation: it takes a sequence of accesses in FCFS order, and
+:meth:`DRAMModel.access` is its length-1 form.  A sequence and the same
+accesses made one call at a time give bitwise-equal end times, state and
+counters.
 """
 
 from __future__ import annotations
@@ -72,35 +78,17 @@ class DRAMModel:
         """Perform one DRAM access; returns the completion time."""
         if nbytes <= 0:
             return now
-        cfg = self.config
-        row = addr // cfg.row_buffer_bytes
-        bank = row % cfg.num_banks
-        if self._open_rows.get(bank) == row:
-            latency = cfg.row_hit_latency
-            occupancy_extra = 0.0
-            self.stats.counter("row_hits").add()
-        else:
-            latency = cfg.access_latency
-            occupancy_extra = cfg.activate_occupancy
-            self.stats.counter("row_misses").add()
-            self._open_rows[bank] = row
-        self.stats.counter("writes" if is_write else "reads").add()
-        self.stats.counter("bytes").add(nbytes)
-        if occupancy_extra:
-            # The activate/precharge turnaround blocks the channel.
-            self.channel.inner.book(now, occupancy_extra)
-        __, end = self.channel.transfer(now + latency, nbytes)
-        return end
+        return float(self.access_batch([now], [addr], [nbytes], [is_write])[0])
 
     def access_batch(self, now, addr, nbytes, is_write):
         """Perform a whole FCFS sequence of accesses; returns end times.
 
-        Equivalent to ``[self.access(...) for ...]`` (same bank/open-row
-        evolution, same channel bookings in the same order, counters equal in
-        aggregate) but with the row-hit classification vectorised per bank
-        and all channel bookings folded into one
-        :meth:`~repro.sim.timeline.Timeline.book_batch` scan.  End times
-        match the scalar loop up to float association (see ``book_batch``).
+        A row-hit access pays ``row_hit_latency``; a row miss pays
+        ``access_latency``, opens its row in its bank and first books
+        ``activate_occupancy`` on the channel.  The row-hit classification
+        is vectorised per bank, and every channel booking goes through one
+        :meth:`~repro.sim.timeline.Timeline.book_batch` call in access
+        order, so the end times are exact.
         """
         import numpy as np
 
@@ -141,8 +129,8 @@ class DRAMModel:
         for pos in tails.tolist():
             open_rows[int(banks_o[pos])] = int(rows_o[pos])
 
-        # Aggregated counters; only touched when the scalar loop would have
-        # touched them, so stats snapshots stay key-identical.
+        # Aggregated counters; a counter is only created once some access
+        # bumps it, so stats snapshots carry the same keys at any length.
         row_hits = int(hit.sum())
         writes = int(is_write.sum())
         stats = self.stats
@@ -156,8 +144,8 @@ class DRAMModel:
             stats.counter("reads").add(n - writes)
         stats.counter("bytes").add(int(nbytes.sum()))
 
-        # Channel bookings, interleaved exactly as the scalar loop makes
-        # them: [activate occupancy (misses only), data transfer] per access.
+        # Channel bookings in access order: [activate occupancy (misses
+        # only), data transfer] per access.
         latency = np.where(hit, cfg.row_hit_latency, cfg.access_latency)
         miss = ~hit
         misses = int(miss.sum())

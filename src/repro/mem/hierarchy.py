@@ -3,6 +3,11 @@
 One :class:`MemorySystem` instance is shared by every CPU and accelerator on
 the SoC, which is exactly how the paper's Figure 5 SoCs are built (per-tile
 private scratchpads, one shared L2, one DRAM channel).
+
+Like its parts, the memory system has one timed-access implementation,
+:meth:`MemorySystem.access_batch`, exact to the bit against the same
+accesses made one at a time; :meth:`MemorySystem.access` is its length-1
+form.
 """
 
 from __future__ import annotations
@@ -63,18 +68,14 @@ class MemorySystem:
         """Move ``nbytes`` at physical address ``paddr``; returns end time."""
         if nbytes <= 0:
             return now
-        bus_end = self.bus.transfer(now, nbytes, requester)
-        if self.l2 is not None:
-            return self.l2.access(bus_end, paddr, nbytes, is_write, requester)
-        return self.dram.access(bus_end, paddr, nbytes, is_write)
+        return float(self.access_batch([now], [paddr], [nbytes], [is_write], requester)[0])
 
     def access_batch(self, now, paddr, nbytes, is_write, requester: str = ""):
         """Move a whole FCFS sequence through bus + L2/DRAM; returns end times.
 
-        The batched analogue of :meth:`access` — same bus, cache and DRAM
-        state evolution and aggregate counters; end times within float
-        association of the scalar loop.  Zero-byte entries are not allowed
-        (the scalar path short-circuits them; callers filter instead).
+        Every level sees the accesses in sequence order, so the end times,
+        state and counters are those of the same accesses made one by one.
+        Zero-byte entries are not allowed (:meth:`access` skips them).
         """
         bus_end = self.bus.transfer_batch(now, nbytes, requester)
         if self.l2 is not None:

@@ -10,6 +10,13 @@ case study:
   translation used by DMA reads and one for DMA writes — which serve
   consecutive same-page requests with zero-cycle latency and keep reads and
   writes from evicting each other's hot entry.
+
+:meth:`TranslationSystem.translate_batch` is the one timed translation
+implementation; ``translate`` and ``translate_vpn`` are its length-1 forms.
+The TLB is single-ported, so the requests of one call chain: each starts
+when it is issued or when the previous one ends, whichever is later.
+Times are exact (bitwise) against the same requests resolved one by one at
+those chained starts.
 """
 
 from __future__ import annotations
@@ -119,17 +126,18 @@ class FilterRegisters:
         self.write_vpn = None
 
 
-@dataclass
-class TranslationResult:
-    """Outcome of one translation request."""
+def chained_starts(now, ends) -> list[float]:
+    """Start times of one :meth:`TranslationSystem.translate_batch` call.
 
-    end_time: float
-    level: str  # "filter" | "private" | "shared" | "walk"
-    vpn: int
-
-    @property
-    def latency_level(self) -> str:
-        return self.level
+    ``now`` and ``ends`` are the call's request times and returned end
+    times; request ``k`` started at ``max(now[k], ends[k-1])``.
+    """
+    starts = []
+    prev = float("-inf")
+    for t, end in zip(now, ends):
+        starts.append(prev if prev > t else t)
+        prev = end
+    return starts
 
 
 class TranslationSystem:
@@ -160,83 +168,32 @@ class TranslationSystem:
 
     # ------------------------------------------------------------------ #
 
-    def translate(self, now: float, vaddr: int, is_write: bool) -> TranslationResult:
-        """Translate one request; returns completion time and serving level."""
-        vpn = vaddr // self.config.page_bytes
-        return self.translate_vpn(now, vpn, is_write)
+    def translate(self, now: float, vaddr: int, is_write: bool) -> float:
+        """Translate the page of byte address ``vaddr``; returns the end time."""
+        return self.translate_vpn(now, vaddr // self.config.page_bytes, is_write)
 
-    def translate_vpn(self, now: float, vpn: int, is_write: bool) -> TranslationResult:
-        cfg = self.config
-        stats = self.stats
-        stats.counter("requests").add()
-        stats.counter("write_requests" if is_write else "read_requests").add()
-
-        # Track consecutive same-page behaviour per channel (paper: 87% of
-        # consecutive reads and 83% of consecutive writes hit the same page).
-        last = self._last_vpn[is_write]
-        if last is not None:
-            key = "consecutive_same_write" if is_write else "consecutive_same_read"
-            total = "consecutive_write" if is_write else "consecutive_read"
-            stats.counter(total).add()
-            if last == vpn:
-                stats.counter(key).add()
-        self._last_vpn[is_write] = vpn
-
-        if self.filters is not None and self.filters.check(vpn, is_write):
-            stats.counter("filter_hits").add()
-            self.miss_window.record(now, positive=False)
-            return TranslationResult(now, "filter", vpn)
-
-        if self.filters is not None:
-            self.filters.update(vpn, is_write)
-
-        if self.private.lookup(vpn):
-            stats.counter("private_hits").add()
-            self.miss_window.record(now, positive=False)
-            return TranslationResult(now + cfg.private_hit_latency, "private", vpn)
-
-        stats.counter("private_misses").add()
-        self.miss_window.record(now, positive=True)
-
-        after_private = now + cfg.private_hit_latency
-        if cfg.shared_entries and self.shared.lookup(vpn):
-            stats.counter("shared_hits").add()
-            self.private.fill(vpn)
-            return TranslationResult(
-                after_private + cfg.shared_hit_latency, "shared", vpn
-            )
-
-        if cfg.shared_entries:
-            stats.counter("shared_misses").add()
-
-        # Full page-table walk on the (possibly shared) PTW.
-        stats.counter("walks").add()
-        walk_request = after_private + (cfg.shared_hit_latency if cfg.shared_entries else 0)
-        if self.page_table is not None:
-            self.page_table.walk(vpn)
-        __, walk_end = self.ptw.book(walk_request, cfg.walk_latency)
-        self.private.fill(vpn)
-        self.shared.fill(vpn)
-        return TranslationResult(walk_end, "walk", vpn)
+    def translate_vpn(self, now: float, vpn: int, is_write: bool) -> float:
+        """Translate one virtual page number; returns the end time."""
+        return float(self.translate_batch([now], [vpn], [is_write])[0])
 
     def translate_batch(self, now, vpns, is_write):
-        """Translate a whole request sequence; returns the end times.
+        """Translate a request sequence; returns the end times.
 
-        Aggregate-equivalent to calling :meth:`translate_vpn` in a loop: the
-        TLB/filter state walks through the identical lookups and fills, the
-        (possibly shared) PTW sees the same bookings in the same order, the
-        miss-rate window records every outcome, and counters are added once
-        per name.  The python loop stays, but it is lean — all the per-call
-        stats traffic of the scalar path is hoisted out, which is what makes
-        batched replay re-resolution cheap.
+        The TLB is single-ported, so requests chain: request ``k`` starts at
+        ``max(now[k], end[k-1])`` (:func:`chained_starts`).  A filter-register
+        hit ends at its start, a private hit ``private_hit_latency`` later, a
+        shared hit ``shared_hit_latency`` after that, and a miss in every
+        level books ``walk_latency`` on the (possibly shared) PTW and fills
+        both TLBs.  The miss-rate window records every outcome at its
+        request's start, and counters are added once per name.
         """
         import numpy as np
 
-        now = np.asarray(now, dtype=np.float64)
         vpn_list = np.asarray(vpns, dtype=np.int64).tolist()
         write_list = np.asarray(is_write, dtype=bool).tolist()
+        now_list = np.asarray(now, dtype=np.float64).tolist()
         if not vpn_list:
-            return now
+            return np.asarray(now_list, dtype=np.float64)
         cfg = self.config
         filters = self.filters
         private = self.private
@@ -244,23 +201,10 @@ class TranslationSystem:
         shared_entries = cfg.shared_entries
         private_hit_latency = cfg.private_hit_latency
         shared_latency = cfg.shared_hit_latency if shared_entries else 0.0
+        walk_latency = cfg.walk_latency
+        page_table = self.page_table
+        ptw_book = self.ptw.book
         last_vpn = self._last_vpn
-        # Miss-window outcomes, folded into runs of equal polarity: weighted
-        # records split at window boundaries exactly like per-event records,
-        # so the emitted rate series carries identical values (only the
-        # emission timestamps coarsen to the run's last event).
-        run_positive = False
-        run_weight = 0
-        run_t = 0.0
-
-        def miss_record(t, positive):
-            nonlocal run_positive, run_weight, run_t
-            if run_weight and positive is not run_positive:
-                self.miss_window.record(run_t, run_positive, weight=run_weight)
-                run_weight = 0
-            run_positive = positive
-            run_weight += 1
-            run_t = t
 
         n_write = n_consec_r = n_consec_w = n_same_r = n_same_w = 0
         n_filter = n_priv_hit = n_priv_miss = n_shared_hit = n_shared_miss = n_walk = 0
@@ -268,8 +212,16 @@ class TranslationSystem:
         last_w = last_vpn[True]
         private_lru = private._lru
         move_private = private_lru.move_to_end
-        ends = now.tolist()
-        for i, (vpn, w, t) in enumerate(zip(vpn_list, write_list, ends)):
+        ends = []
+        starts = []
+        outcomes = []  # miss-rate window: True on a private-TLB miss
+        end = float("-inf")
+        for vpn, w, t in zip(vpn_list, write_list, now_list):
+            if end > t:
+                t = end
+            starts.append(t)
+            # Consecutive same-page behaviour per channel (paper: 87% of
+            # consecutive reads and 83% of consecutive writes hit the same page).
             if w:
                 n_write += 1
                 if last_w is not None:
@@ -284,42 +236,43 @@ class TranslationSystem:
                         n_same_r += 1
                 last_r = vpn
 
-            if filters is not None:
-                if filters.check(vpn, w):
-                    n_filter += 1
-                    miss_record(t, False)
-                    continue
-                filters.update(vpn, w)
-
-            if vpn in private_lru:
-                move_private(vpn)
-                n_priv_hit += 1
-                miss_record(t, False)
-                ends[i] = t + private_hit_latency
-                continue
-
-            n_priv_miss += 1
-            miss_record(t, True)
-            after_private = t + private_hit_latency
-            if shared_entries and shared.lookup(vpn):
-                n_shared_hit += 1
-                private.fill(vpn)
-                ends[i] = after_private + shared_latency
-                continue
-            if shared_entries:
-                n_shared_miss += 1
-            n_walk += 1
-            if self.page_table is not None:
-                self.page_table.walk(vpn)
-            __, walk_end = self.ptw.book(after_private + shared_latency, cfg.walk_latency)
-            private.fill(vpn)
-            shared.fill(vpn)
-            ends[i] = walk_end
+            if filters is not None and filters.check(vpn, w):
+                n_filter += 1
+                outcomes.append(False)
+                end = t
+            else:
+                if filters is not None:
+                    filters.update(vpn, w)
+                if vpn in private_lru:
+                    move_private(vpn)
+                    n_priv_hit += 1
+                    outcomes.append(False)
+                    end = t + private_hit_latency
+                else:
+                    n_priv_miss += 1
+                    outcomes.append(True)
+                    after_private = t + private_hit_latency
+                    if shared_entries and shared.lookup(vpn):
+                        n_shared_hit += 1
+                        private.fill(vpn)
+                        end = after_private + shared_latency
+                    else:
+                        if shared_entries:
+                            n_shared_miss += 1
+                        n_walk += 1
+                        if page_table is not None:
+                            page_table.walk(vpn)
+                        __, end = ptw_book(after_private + shared_latency, walk_latency)
+                        private.fill(vpn)
+                        shared.fill(vpn)
+            ends.append(end)
         last_vpn[False] = last_r
         last_vpn[True] = last_w
+        self.miss_window.record_all(starts, outcomes)
         counts = {
             "requests": len(vpn_list),
             "write_requests": n_write,
+            "read_requests": len(vpn_list) - n_write,
             "consecutive_read": n_consec_r,
             "consecutive_write": n_consec_w,
             "consecutive_same_read": n_same_r,
@@ -331,16 +284,10 @@ class TranslationSystem:
             "shared_misses": n_shared_miss,
             "walks": n_walk,
         }
-
-        if run_weight:
-            self.miss_window.record(run_t, run_positive, weight=run_weight)
         stats = self.stats
         for name, value in counts.items():
             if value or name == "requests":
                 stats.counter(name).add(value)
-        reads = counts["requests"] - counts["write_requests"]
-        if reads:
-            stats.counter("read_requests").add(reads)
         return np.asarray(ends, dtype=np.float64)
 
     # ------------------------------------------------------------------ #

@@ -159,21 +159,27 @@ class RateWindow:
         self._seen_in_window = 0
 
     def record(self, time: float, positive: bool, weight: int = 1) -> None:
+        """Record ``weight`` outcomes of one polarity, all at ``time``."""
         if weight < 0:
             raise ValueError("weight must be non-negative")
-        # A weighted record can cross one or more window boundaries (e.g. a
-        # burst of block accesses reported as one event); fold it in window
-        # by window so every emitted rate covers exactly ``window`` events
-        # instead of one rate over an oversized window.
-        remaining = weight
-        while remaining > 0:
-            take = min(remaining, self.window - self._seen_in_window)
-            if positive:
-                self._hits_in_window += take
+        self.record_all([time] * weight, [positive] * weight)
+
+    def record_all(self, times, positives) -> None:
+        """Record one outcome per time, in order.
+
+        A sequence can cross one or more window boundaries (e.g. a burst of
+        block accesses); it is folded in window by window, so every emitted
+        rate covers exactly ``window`` outcomes and is stamped with the time
+        of the outcome that closes its window.
+        """
+        done = 0
+        while done < len(positives):
+            take = min(len(positives) - done, self.window - self._seen_in_window)
+            self._hits_in_window += sum(positives[done:done + take])
             self._seen_in_window += take
-            remaining -= take
+            done += take
             if self._seen_in_window >= self.window:
-                self.series.record(time, self._hits_in_window / self._seen_in_window)
+                self.series.record(times[done - 1], self._hits_in_window / self._seen_in_window)
                 self._hits_in_window = 0
                 self._seen_in_window = 0
 

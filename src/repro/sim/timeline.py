@@ -8,7 +8,10 @@ timeline returns the interval actually granted, serialising concurrent
 requesters in arrival order.
 
 All times are in cycles of the SoC reference clock and are plain floats so
-that fractional-cycle bandwidth accounting stays exact in aggregate.
+that fractional-cycle bandwidth accounting stays exact in aggregate.  A
+sequence booking (:meth:`Timeline.book_batch`) applies the single-booking
+recurrence element by element, so it equals a loop of :meth:`Timeline.book`
+calls bitwise.
 """
 
 from __future__ import annotations
@@ -52,32 +55,30 @@ class Timeline:
     def book_batch(self, earliest, durations):
         """Book a whole FCFS sequence at once; returns the end times.
 
-        Equivalent to ``[self.book(e, d)[1] for e, d in zip(...)]`` but
-        computed as two vectorised scans.  The recurrence ``end[i] =
-        max(earliest[i], end[i-1]) + dur[i]`` rewrites to ``end = cumsum(dur)
-        + runmax(earliest - shifted_cumsum)``, so the only difference from
-        the scalar loop is float association — bounded by a few ulps per
-        element, which is why the batch/scalar parity suite compares at
-        ``rtol=1e-9`` rather than bitwise.
+        Applies :meth:`book`'s recurrence element by element, so the ends,
+        ``next_free`` and ``busy_time`` equal a loop of :meth:`book` calls
+        bitwise.
         """
         import numpy as np
 
-        earliest = np.asarray(earliest, dtype=np.float64)
-        durations = np.asarray(durations, dtype=np.float64)
-        if earliest.size == 0:
-            return earliest
-        if float(durations.min()) < 0:
+        earliest = np.asarray(earliest, dtype=np.float64).tolist()
+        durations = np.asarray(durations, dtype=np.float64).tolist()
+        if durations and min(durations) < 0:
             raise ValueError(f"negative duration in batch booking on {self.name}")
-        cum = np.cumsum(durations)
-        prev = np.empty_like(cum)
-        prev[0] = 0.0
-        prev[1:] = cum[:-1]
-        slack = np.maximum.accumulate(earliest - prev)
-        ends = cum + np.maximum(slack, self.next_free)
-        self.next_free = float(ends[-1])
-        self.busy_time += float(cum[-1])
-        self.bookings += earliest.size
-        return ends
+        next_free = self.next_free
+        busy = self.busy_time
+        ends = []
+        append = ends.append
+        for e, d in zip(earliest, durations):
+            if e > next_free:
+                next_free = e
+            next_free += d
+            busy += d
+            append(next_free)
+        self.next_free = next_free
+        self.busy_time = busy
+        self.bookings += len(ends)
+        return np.asarray(ends, dtype=np.float64)
 
     def utilisation(self, horizon: float) -> float:
         """Fraction of ``[0, horizon]`` this resource spent busy."""
@@ -115,16 +116,12 @@ class BandwidthTimeline:
         self.inner = Timeline(name)
         self.bytes_moved = 0
 
-    def transfer(self, earliest: float, num_bytes: int) -> tuple[float, float]:
-        """Book a transfer of ``num_bytes``; returns the granted interval."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        duration = self.overhead + num_bytes / self.bytes_per_cycle
-        self.bytes_moved += num_bytes
-        return self.inner.book(earliest, duration)
-
     def transfer_batch(self, earliest, num_bytes):
-        """Book a sequence of transfers at once; returns the end times."""
+        """Book a sequence of transfers; returns the end times.
+
+        Each transfer occupies the pipe for ``overhead + bytes /
+        bytes_per_cycle`` cycles, in sequence order.
+        """
         import numpy as np
 
         num_bytes = np.asarray(num_bytes, dtype=np.float64)

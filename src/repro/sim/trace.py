@@ -19,7 +19,7 @@ This module implements that structure:
   Uncontended segments advance the clock by pure (vectorised) offset
   arithmetic and re-apply the recorded counter deltas; segments executed
   while another tile has work in flight are *re-resolved* against the live
-  shared state through the batched memory-model entry points
+  shared state through the memory models' sequence methods
   (:meth:`~repro.mem.tlb.TranslationSystem.translate_batch`,
   :meth:`~repro.mem.hierarchy.MemorySystem.access_batch`), so cross-tile
   contention still books the shared L2/DRAM/PTW and slips the remainder of
@@ -29,6 +29,12 @@ This module implements that structure:
   the runtime's model against an isolated sandbox memory system bound to
   the *same* virtual address space, yielding the uncontended steady-state
   baseline that contended replay slips from.
+
+The generator path's DMA engine issues every transfer through those same
+sequence methods, which are the memory models' only timed-access
+implementation and are exact, so recording and re-resolution share one
+arithmetic.  Translations log their chained start times (the TLB is
+single-ported), and an op's re-resolved translations chain the same way.
 
 Replay of an uncontended single-tenant stream is bitwise-identical to the
 generator path (guarded by fingerprint convergence: a trace is only trusted
@@ -44,6 +50,7 @@ from typing import Callable, Generator
 
 import numpy as np
 
+from repro.mem.tlb import chained_starts
 from repro.sw.runtime import RunResult, Runtime
 
 __all__ = [
@@ -150,7 +157,7 @@ def _apply_delta(delta: dict, tile, contended: bool) -> None:
 
 class _RecordingMemorySystem:
     """Delegates to a :class:`~repro.mem.hierarchy.MemorySystem`, logging
-    every timed access the DMA engine makes."""
+    every access sequence the DMA engine issues."""
 
     __slots__ = ("inner", "recorder")
 
@@ -158,16 +165,15 @@ class _RecordingMemorySystem:
         self.inner = inner
         self.recorder = recorder
 
-    def access(self, now, paddr, nbytes, is_write, requester=""):
-        end = self.inner.access(now, paddr, nbytes, is_write, requester)
-        if nbytes > 0:
-            self.recorder._log_access(now, paddr, nbytes, is_write, requester, end)
-        return end
+    def access_batch(self, now, paddr, nbytes, is_write, requester=""):
+        ends = self.inner.access_batch(now, paddr, nbytes, is_write, requester)
+        self.recorder._log_accesses(now, paddr, nbytes, is_write, requester, ends)
+        return ends
 
 
 class _RecordingTranslationSystem:
     """Delegates to a :class:`~repro.mem.tlb.TranslationSystem`, logging
-    every translation request."""
+    every translation sequence at its chained start times."""
 
     __slots__ = ("inner", "recorder")
 
@@ -179,10 +185,10 @@ class _RecordingTranslationSystem:
     def config(self):
         return self.inner.config
 
-    def translate_vpn(self, now, vpn, is_write):
-        result = self.inner.translate_vpn(now, vpn, is_write)
-        self.recorder._log_translation(now, vpn, is_write, result.end_time)
-        return result
+    def translate_batch(self, now, vpns, is_write):
+        ends = self.inner.translate_batch(now, vpns, is_write)
+        self.recorder._log_translations(now, vpns, is_write, ends)
+        return ends
 
 
 # ---------------------------------------------------------------------- #
@@ -350,15 +356,22 @@ class TraceRecorder:
 
     # -- proxy callbacks ------------------------------------------------ #
 
-    def _log_access(self, now, paddr, nbytes, is_write, requester, end) -> None:
+    def _log_accesses(self, now, paddr, nbytes, is_write, requester, ends) -> None:
         rid = self._requesters.setdefault(requester, len(self._requesters))
-        self._acc.append(
-            (len(self._clocks), now - self._start, end - self._start, paddr, nbytes, is_write, rid)
+        op = len(self._clocks)
+        start = self._start
+        self._acc.extend(
+            (op, t - start, end - start, a, n, w, rid)
+            for t, end, a, n, w in zip(now, ends.tolist(), paddr, nbytes, is_write)
         )
 
-    def _log_translation(self, now, vpn, is_write, end) -> None:
-        self._xl.append(
-            (len(self._clocks), now - self._start, end - self._start, vpn, is_write)
+    def _log_translations(self, now, vpns, is_write, ends) -> None:
+        ends = ends.tolist()
+        op = len(self._clocks)
+        start = self._start
+        self._xl.extend(
+            (op, t - start, end - start, vpn, w)
+            for t, end, vpn, w in zip(chained_starts(now, ends), ends, vpns, is_write)
         )
 
     # -- recording ------------------------------------------------------ #

@@ -1,50 +1,72 @@
-"""Batch-vs-scalar parity for the memory models' vectorised entry points.
+"""Bitwise parity of the memory models' sequence methods with the reference.
 
-The trace-replay fast path re-resolves contended segments through
-``Cache.access_batch`` / ``DRAMModel.access_batch`` /
-``TranslationSystem.translate_batch`` / ``MemorySystem.access_batch``.
-These suites drive the same request streams through the scalar loop and
-the batched call on twin instances and require identical state evolution
-and aggregate counters, with end times equal up to float association
-(the batched timeline scan re-associates the same additions).
+Each memory component has one timed-access implementation, the sequence
+one (``Timeline.book_batch``, ``BandwidthTimeline.transfer_batch``,
+``DRAMModel.access_batch``, ``Cache.access_batch``,
+``MemorySystem.access_batch``, ``TranslationSystem.translate_batch``).
+These suites drive the same request streams through the per-access loops
+of :mod:`reference` and through the sequence method on twin instances, and
+require equal end times, state, counters and timelines — compared with
+``==``.  Start times are drawn from non-dyadic floats, so a reassociated
+sum would show.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import reference
 from repro.mem.dram import DRAMConfig, DRAMModel
 from repro.mem.hierarchy import MemorySystem, MemorySystemConfig
 from repro.mem.tlb import TLBConfig, TranslationSystem
 from repro.sim.timeline import BandwidthTimeline, Timeline
 
-RTOL = 1e-9
+#: Request gaps in cycles: non-dyadic fractions, and 0 for same-cycle bursts.
+gaps = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=60.0))
 
 
-def random_stream(rng, n, max_addr=1 << 22, streaming_every=3):
-    now = np.cumsum([rng.random() * 40 for __ in range(n)])
-    addr = np.array([rng.randrange(0, max_addr) for __ in range(n)])
-    # Interleave a streaming component (consecutive lines) with random hits.
-    addr[::streaming_every] = (np.arange(len(addr[::streaming_every])) * 64) % max_addr
-    nbytes = np.array([rng.choice([1, 16, 64, 512, 4096]) for __ in range(n)])
-    is_write = np.array([rng.random() < 0.4 for __ in range(n)])
+@st.composite
+def streams(draw, max_size=80, max_addr=1 << 21):
+    """(now, addr, nbytes, is_write) lists: a streaming component (consecutive
+    lines) interleaved with random addresses; some requests arrive out of
+    order (earlier than their predecessor)."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    now, addr = [], []
+    t = draw(st.floats(min_value=0.0, max_value=1e4))
+    for i in range(n):
+        t += draw(gaps)
+        late = draw(st.booleans()) and draw(st.booleans())
+        now.append(t - 7.3 if late else t)
+        if i % 3 == 0:
+            addr.append((i * 64) % max_addr)
+        else:
+            addr.append(draw(st.integers(min_value=0, max_value=max_addr - 1)))
+    nbytes = draw(st.lists(st.sampled_from([1, 16, 64, 100, 512, 4096]), min_size=n, max_size=n))
+    is_write = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return now, addr, nbytes, is_write
 
 
 class TestTimelineBookBatch:
-    def test_matches_sequential_bookings(self):
-        rng = random.Random(0)
+    @given(
+        st.lists(st.tuples(st.floats(-20.0, 60.0), st.floats(0.0, 40.0)), max_size=120),
+        st.floats(0.0, 100.0),
+    )
+    def test_matches_sequential_bookings(self, requests, pre_booked):
         a, b = Timeline("a"), Timeline("b")
-        earliest = np.cumsum([rng.random() * 10 for __ in range(200)])
-        earliest[::7] = earliest[::7] - 5.0  # out-of-order arrivals queue FCFS
-        durations = np.array([rng.random() * 8 for __ in range(200)])
-        scalar = np.array([a.book(e, d)[1] for e, d in zip(earliest, durations)])
-        batch = b.book_batch(earliest, durations)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL)
-        assert a.bookings == b.bookings
-        assert a.busy_time == pytest.approx(b.busy_time, rel=RTOL)
-        assert a.next_free == pytest.approx(b.next_free, rel=RTOL)
+        a.book(0.0, pre_booked)
+        b.book(0.0, pre_booked)
+        t = 0.0
+        earliest, durations = [], []
+        for offset, duration in requests:
+            t += abs(offset)
+            earliest.append(t + min(offset, 0.0))  # some arrive late, queue FCFS
+            durations.append(duration)
+        scalar = [a.book(e, d)[1] for e, d in zip(earliest, durations)]
+        assert b.book_batch(earliest, durations).tolist() == scalar
+        assert reference.timeline_state(a) == reference.timeline_state(b)
 
     def test_empty_batch_is_noop(self):
         t = Timeline("t")
@@ -52,51 +74,49 @@ class TestTimelineBookBatch:
         assert t.bookings == 0
 
     def test_negative_duration_rejected(self):
+        t = Timeline("t")
         with pytest.raises(ValueError):
-            Timeline("t").book_batch(np.zeros(2), np.array([1.0, -1.0]))
+            t.book_batch(np.zeros(2), np.array([1.0, -1.0]))
+        assert reference.timeline_state(t) == (0.0, 0.0, 0)
 
 
 class TestBandwidthTransferBatch:
-    def test_matches_sequential_transfers(self):
+    @given(streams())
+    def test_matches_sequential_transfers(self, stream):
+        now, __, nbytes, __ = stream
         a = BandwidthTimeline("a", 16.0, overhead=1.0)
         b = BandwidthTimeline("b", 16.0, overhead=1.0)
-        earliest = np.arange(50, dtype=np.float64) * 3.0
-        nbytes = np.tile([64, 512, 16, 100, 4096], 10)
-        scalar = np.array([a.transfer(e, int(n))[1] for e, n in zip(earliest, nbytes)])
-        batch = b.transfer_batch(earliest, nbytes)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL)
+        scalar = [reference.bandwidth_transfer(a, t, n)[1] for t, n in zip(now, nbytes)]
+        assert b.transfer_batch(now, nbytes).tolist() == scalar
+        assert reference.timeline_state(a.inner) == reference.timeline_state(b.inner)
         assert a.bytes_moved == b.bytes_moved
 
 
 class TestDRAMBatch:
     @pytest.mark.parametrize("num_banks", [1, 2, 8])
     @pytest.mark.parametrize("activate", [0.0, 24.0])
-    def test_parity_with_scalar_loop(self, num_banks, activate):
-        rng = random.Random(num_banks * 100 + int(activate))
+    @given(stream=streams(max_addr=1 << 22))
+    def test_parity_with_scalar_loop(self, num_banks, activate, stream):
         cfg = DRAMConfig(num_banks=num_banks, activate_occupancy=activate)
         a, b = DRAMModel(cfg), DRAMModel(cfg)
-        now, addr, nbytes, wr = random_stream(rng, 250)
-        scalar = np.array(
-            [a.access(t, int(ad), int(nb), bool(w)) for t, ad, nb, w in zip(now, addr, nbytes, wr)]
-        )
-        batch = b.access_batch(now, addr, nbytes, wr)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL, atol=1e-6)
+        scalar = [reference.dram_access(a, *request) for request in zip(*stream)]
+        assert b.access_batch(*stream).tolist() == scalar
         assert a.stats.snapshot() == b.stats.snapshot()
         assert a._open_rows == b._open_rows
         assert a.bytes_moved == b.bytes_moved
-        assert a.channel.inner.bookings == b.channel.inner.bookings
-        assert a.channel.inner.next_free == pytest.approx(b.channel.inner.next_free, rel=RTOL)
+        assert reference.timeline_state(a.channel.inner) == reference.timeline_state(b.channel.inner)
 
     def test_mixing_scalar_and_batch_is_safe(self):
-        """State is shared: a scalar access between batches sees batch state."""
+        """State is shared: a length-1 access between batches sees batch state."""
         a, b = DRAMModel(), DRAMModel()
-        addr = np.arange(10) * 1024  # one row each
-        a_ends = [a.access(float(i), int(ad), 64, False) for i, ad in enumerate(addr)]
-        b.access_batch(np.arange(5, dtype=float), addr[:5], np.full(5, 64), np.zeros(5, bool))
-        mid = b.access(5.0, int(addr[5]), 64, False)
-        b.access_batch(np.arange(6, 10, dtype=float), addr[6:], np.full(4, 64), np.zeros(4, bool))
-        assert mid == pytest.approx(a_ends[5], rel=RTOL)
+        addr = [i * 1024 + 3 for i in range(10)]  # one row each
+        a_ends = [reference.dram_access(a, i * 0.3, ad, 64, False) for i, ad in enumerate(addr)]
+        b.access_batch([i * 0.3 for i in range(5)], addr[:5], [64] * 5, [False] * 5)
+        mid = b.access(5 * 0.3, addr[5], 64, False)
+        b.access_batch([i * 0.3 for i in range(6, 10)], addr[6:], [64] * 4, [False] * 4)
+        assert mid == a_ends[5]
         assert a._open_rows == b._open_rows
+        assert reference.timeline_state(a.channel.inner) == reference.timeline_state(b.channel.inner)
 
     def test_rejects_non_positive_bytes(self):
         with pytest.raises(ValueError):
@@ -104,85 +124,115 @@ class TestDRAMBatch:
 
 
 class TestCacheBatch:
-    def test_parity_with_scalar_loop(self):
-        rng = random.Random(7)
-        for trial in range(4):
-            a, b = MemorySystem(), MemorySystem()
-            now, addr, nbytes, wr = random_stream(rng, 300, max_addr=1 << 21)
-            scalar = np.array(
-                [
-                    a.l2.access(t, int(ad), int(nb), bool(w), "gem0")
-                    for t, ad, nb, w in zip(now, addr, nbytes, wr)
-                ]
-            )
-            batch = b.l2.access_batch(now, addr, nbytes, wr, "gem0")
-            np.testing.assert_allclose(batch, scalar, rtol=RTOL, atol=1e-6)
-            assert a.l2.stats.snapshot() == b.l2.stats.snapshot()
-            assert a.dram.stats.snapshot() == b.dram.stats.snapshot()
-            # LRU sets evolved through identical decisions: same tags, same
-            # dirty bits, same recency order.
-            assert [list(s.items()) for s in a.l2._sets] == [list(s.items()) for s in b.l2._sets]
-
-    def test_full_hierarchy_parity(self):
-        rng = random.Random(11)
+    @given(stream=streams(max_size=120))
+    def test_parity_with_scalar_loop(self, stream):
         a, b = MemorySystem(), MemorySystem()
-        now, addr, nbytes, wr = random_stream(rng, 300)
-        scalar = np.array(
-            [a.access(t, int(ad), int(nb), bool(w), "g") for t, ad, nb, w in zip(now, addr, nbytes, wr)]
-        )
-        batch = b.access_batch(now, addr, nbytes, wr, "g")
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL, atol=1e-6)
-        assert a.bus.stats.snapshot() == b.bus.stats.snapshot()
-        assert a.dram.bytes_moved == b.dram.bytes_moved
+        scalar = [reference.cache_access(a.l2, *request, "gem0") for request in zip(*stream)]
+        assert b.l2.access_batch(*stream, "gem0").tolist() == scalar
+        # LRU sets evolved through identical decisions (same tags, dirty bits
+        # and recency order), and DRAM saw the same requests.
+        assert reference.memory_state(a) == reference.memory_state(b)
+
+    def test_small_cache_evicts_dirty_lines(self):
+        """A cache far smaller than the stream: every path through eviction
+        and writeback is taken, and still matches bitwise."""
+        rng = random.Random(3)
+        cfg = MemorySystemConfig().with_l2_size(8 * 64 * 4)
+        a, b = MemorySystem(cfg), MemorySystem(cfg)
+        now = [i * 2.7 for i in range(400)]
+        addr = [rng.randrange(0, 1 << 16) for __ in range(400)]
+        nbytes = [rng.choice([64, 200, 1024]) for __ in range(400)]
+        wr = [rng.random() < 0.5 for __ in range(400)]
+        scalar = [reference.cache_access(a.l2, *r) for r in zip(now, addr, nbytes, wr)]
+        assert b.l2.access_batch(now, addr, nbytes, wr).tolist() == scalar
+        assert b.l2.stats.value("writebacks") > 0
+        assert reference.memory_state(a) == reference.memory_state(b)
+
+    @given(stream=streams(max_size=120, max_addr=1 << 22))
+    def test_full_hierarchy_parity(self, stream):
+        a, b = MemorySystem(), MemorySystem()
+        scalar = [reference.memory_access(a, *request, "g") for request in zip(*stream)]
+        assert b.access_batch(*stream, "g").tolist() == scalar
+        assert reference.memory_state(a) == reference.memory_state(b)
 
     def test_no_l2_routes_to_dram(self):
         cfg = MemorySystemConfig(l2=None)
         a, b = MemorySystem(cfg), MemorySystem(cfg)
-        now = np.arange(20, dtype=float) * 10
-        addr = np.arange(20) * 64
-        nbytes = np.full(20, 64)
-        wr = np.zeros(20, bool)
-        scalar = np.array([a.access(float(t), int(ad), 64, False) for t, ad in zip(now, addr)])
-        batch = b.access_batch(now, addr, nbytes, wr)
-        np.testing.assert_allclose(batch, scalar, rtol=RTOL)
+        now = [i * 10.1 for i in range(20)]
+        addr = [i * 64 for i in range(20)]
+        scalar = [reference.memory_access(a, t, ad, 64, False) for t, ad in zip(now, addr)]
+        assert b.access_batch(now, addr, [64] * 20, [False] * 20).tolist() == scalar
+        assert reference.memory_state(a) == reference.memory_state(b)
+
+    def test_length_one_adapters_match(self):
+        """The per-access methods are length-1 calls of the sequence methods."""
+        a, b = MemorySystem(), MemorySystem()
+        rng = random.Random(5)
+        for i in range(60):
+            request = (i * 3.1, rng.randrange(0, 1 << 20), rng.choice([0, 64, 300]), i % 3 == 0)
+            assert b.access(*request, "g") == reference.memory_access(a, *request, "g")
+        assert reference.memory_state(a) == reference.memory_state(b)
+
+
+@st.composite
+def translation_streams(draw):
+    """(now, vpns, is_write) lists with consecutive same-page runs."""
+    n = draw(st.integers(min_value=1, max_value=120))
+    now, vpns = [], []
+    t = draw(st.floats(min_value=0.0, max_value=1e4))
+    for __ in range(n):
+        t += draw(gaps)
+        now.append(t)
+        same = vpns and draw(st.booleans())
+        vpns.append(vpns[-1] if same else draw(st.integers(min_value=0, max_value=40)))
+    is_write = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return now, vpns, is_write
 
 
 class TestTranslateBatch:
     @pytest.mark.parametrize("filters", [False, True])
     @pytest.mark.parametrize("private,shared", [(16, 128), (4, 0), (0, 32), (0, 0)])
-    def test_parity_with_scalar_loop(self, filters, private, shared):
-        rng = random.Random(private * 7 + shared + int(filters))
-        cfg = TLBConfig(private_entries=private, shared_entries=shared, filter_registers=filters)
+    @given(stream=translation_streams(), window=st.integers(min_value=1, max_value=9))
+    def test_parity_with_scalar_loop(self, filters, private, shared, stream, window):
+        cfg = TLBConfig(
+            private_entries=private,
+            shared_entries=shared,
+            filter_registers=filters,
+            miss_rate_window=window,
+        )
         a = TranslationSystem(cfg, ptw=Timeline("a"))
         b = TranslationSystem(cfg, ptw=Timeline("b"))
-        n = 400
-        now = np.cumsum([rng.random() * 10 for __ in range(n)])
-        vpns = np.array([rng.randrange(0, 40) for __ in range(n)])
-        vpns[::4] = vpns[0]  # consecutive same-page runs exercise the filters
-        wr = np.array([rng.random() < 0.3 for __ in range(n)])
-        scalar = np.array(
-            [a.translate_vpn(t, int(v), bool(w)).end_time for t, v, w in zip(now, vpns, wr)]
-        )
-        batch = b.translate_batch(now, vpns, wr)
-        np.testing.assert_allclose(batch, scalar, rtol=1e-12)
-        assert a.stats.snapshot() == b.stats.snapshot()
-        assert list(a.private._lru) == list(b.private._lru)
-        assert list(a.shared._lru) == list(b.shared._lru)
-        assert a._last_vpn == b._last_vpn
-        # The miss-rate series carries identical *values* (runs fold at the
-        # same window boundaries); only emission timestamps coarsen.
-        assert a.miss_window.series.values == b.miss_window.series.values
+        assert b.translate_batch(*stream).tolist() == reference.translate_chain(a, *stream)
+        # Includes the miss-rate series, times and values: each point is
+        # stamped with the (chained) start of the request closing its window.
+        assert reference.xlat_state(a) == reference.xlat_state(b)
 
-    def test_shared_ptw_bookings_match(self):
-        ptw_a, ptw_b = Timeline("a"), Timeline("b")
+    @given(stream=translation_streams(), pre_booked=st.floats(0.0, 500.0))
+    def test_shared_ptw_bookings_match(self, stream, pre_booked):
+        """A PTW shared with another requester (already booked) queues the
+        walks identically."""
         cfg = TLBConfig(private_entries=2, shared_entries=0)
+        ptw_a, ptw_b = Timeline("a"), Timeline("b")
+        ptw_a.book(0.0, pre_booked)
+        ptw_b.book(0.0, pre_booked)
         a = TranslationSystem(cfg, ptw=ptw_a)
         b = TranslationSystem(cfg, ptw=ptw_b)
-        vpns = np.arange(50) % 7
-        now = np.arange(50, dtype=float) * 5
-        wr = np.zeros(50, bool)
-        for t, v in zip(now, vpns):
-            a.translate_vpn(float(t), int(v), False)
-        b.translate_batch(now, vpns, wr)
-        assert ptw_a.bookings == ptw_b.bookings
-        assert ptw_a.next_free == pytest.approx(ptw_b.next_free, rel=RTOL)
+        assert b.translate_batch(*stream).tolist() == reference.translate_chain(a, *stream)
+        assert reference.timeline_state(ptw_a) == reference.timeline_state(ptw_b)
+
+    def test_requests_chain_on_the_single_port(self):
+        """Requests issued together serialise: each starts when the previous ends."""
+        cfg = TLBConfig(private_entries=4, shared_entries=0, walk_latency=60.0)
+        xs = TranslationSystem(cfg)
+        ends = xs.translate_batch([10.0, 10.0, 10.0], [1, 2, 1], [False] * 3).tolist()
+        # walk (4 + 60), walk queued behind it, then a private hit (4).
+        assert ends == [74.0, 138.0, 142.0]
+
+    def test_miss_window_stamps_closing_request(self):
+        """Regression: a window closing inside a run of equal outcomes is
+        stamped with the closing request's time, not the run's last."""
+        cfg = TLBConfig(private_entries=0, shared_entries=0, miss_rate_window=2, walk_latency=1.0)
+        xs = TranslationSystem(cfg)
+        xs.translate_batch([0.5, 10.5, 20.5, 30.5, 40.5], [1, 2, 3, 4, 5], [False] * 5)
+        assert xs.miss_window.series.times == [10.5, 30.5]
+        assert xs.miss_window.series.values == [1.0, 1.0]

@@ -80,31 +80,27 @@ class TestTimeline:
 class TestBandwidthTimeline:
     def test_transfer_duration_scales_with_bytes(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=4.0)
-        start, end = bw.transfer(0.0, 40)
-        assert end - start == pytest.approx(10.0)
+        assert bw.transfer_batch([0.0], [40]).tolist() == [10.0]
 
     def test_overhead_added_per_transaction(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=8.0, overhead=2.0)
-        start, end = bw.transfer(0.0, 8)
-        assert end - start == pytest.approx(3.0)
+        assert bw.transfer_batch([0.0], [8]).tolist() == [3.0]
 
     def test_contention_serializes(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=1.0)
-        bw.transfer(0.0, 10)
-        start, __ = bw.transfer(0.0, 10)
-        assert start == pytest.approx(10.0)
+        # The second transfer starts when the first ends, at 10.
+        assert bw.transfer_batch([0.0, 0.0], [10, 10]).tolist() == [10.0, 20.0]
 
     def test_bandwidth_conserved_under_contention(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=2.0)
         end = 0.0
         for __ in range(10):
-            __, end = bw.transfer(0.0, 100)
+            (end,) = bw.transfer_batch([0.0], [100]).tolist()
         assert bw.achieved_bandwidth(end) == pytest.approx(2.0)
 
     def test_zero_bytes(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=2.0)
-        start, end = bw.transfer(5.0, 0)
-        assert start == end == 5.0
+        assert bw.transfer_batch([5.0], [0]).tolist() == [5.0]
 
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):
@@ -113,10 +109,10 @@ class TestBandwidthTimeline:
     def test_negative_bytes_rejected(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=1.0)
         with pytest.raises(ValueError):
-            bw.transfer(0.0, -1)
+            bw.transfer_batch([0.0], [-1])
 
     def test_bytes_moved_counter(self):
         bw = BandwidthTimeline("bus", bytes_per_cycle=1.0)
-        bw.transfer(0.0, 3)
-        bw.transfer(0.0, 4)
-        assert bw.bytes_moved == 7
+        bw.transfer_batch([0.0], [3])
+        bw.transfer_batch([0.0, 0.0], [4, 5])
+        assert bw.bytes_moved == 12
