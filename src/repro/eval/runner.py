@@ -33,9 +33,11 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from repro.store import write_atomic
 
 __all__ = [
     "ExperimentRunner",
@@ -263,9 +265,11 @@ def _run_spec_timed(spec: ExperimentSpec) -> tuple[Any, float, float, int]:
 class ResultCache:
     """Pickle-per-key result store under one directory.
 
-    Writes are atomic (tmp file + rename) so concurrent workers and
-    interrupted runs can never leave a half-written entry behind; unreadable
-    entries degrade to cache misses.
+    Writes are atomic (:func:`repro.store.write_atomic`) so concurrent
+    workers and interrupted runs can never leave a half-written entry
+    behind; unreadable entries degrade to cache misses.  Reading an entry
+    unpickles it, which runs code from the file: point a cache only at a
+    directory that this user's own runs wrote.
     """
 
     _MISS = object()
@@ -290,17 +294,13 @@ class ResultCache:
             return self._MISS
 
     def put(self, key: str, value: Any) -> None:
-        path = self.path(key)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with tmp.open("wb") as fh:
-                pickle.dump(value, fh)
-            tmp.replace(path)
+            write_atomic(self.path(key), pickle.dumps(value))
         except Exception:
             # A result that cannot be pickled (serial runners permit them)
             # or a filesystem error must not fail the run that computed it —
             # the entry is simply not cached.
-            tmp.unlink(missing_ok=True)
+            pass
 
     def clear(self) -> None:
         for entry in self.directory.glob("*.pkl"):
@@ -420,6 +420,23 @@ class ExperimentRunner:
         spinning up).
         """
         batch_t0 = time.perf_counter() if self.ledger else 0.0
+        results, executed = self._run_cached(specs, functools.partial(self._execute, specs))
+        self._record_batch(specs, time.perf_counter() - batch_t0, executed=executed)
+        return results
+
+    def _run_cached(
+        self,
+        specs: Sequence[ExperimentSpec],
+        execute: Callable[[list[int]], Iterable[tuple[int, Any]]],
+    ) -> tuple[list[Any], int]:
+        """The one cache pass behind :meth:`run_specs` and :meth:`map_batch`.
+
+        Serves cached results, counts hits and misses, and hands the
+        positions left to compute to ``execute``, which yields
+        ``(position, value)`` pairs.  Specs whose key is already pending in
+        this batch compute once, fan out, and count as hits.  Returns the
+        results in order and the number of specs executed.
+        """
         results: list[Any] = [None] * len(specs)
         pending: list[int] = []
         tracer = self.tracer
@@ -432,34 +449,38 @@ class ExperimentRunner:
                 value = self.cache.get(keys[i])
                 if value is not ResultCache._MISS:
                     results[i] = value
-                    self.hits += 1
-                    tracer.instant("cache", "hit", tracer.now(), {"spec": spec.name})
+                elif primary.setdefault(keys[i], i) != i:
+                    duplicates[i] = primary[keys[i]]
+                else:
+                    self.misses += 1
+                    pending.append(i)
                     continue
-                first = primary.setdefault(keys[i], i)
-                if first != i:
-                    # The identical computation is already pending in this
-                    # batch: run it once, fan the result out below, and
-                    # count the extra as a hit.
-                    duplicates[i] = first
-                    self.hits += 1
-                    tracer.instant("cache", "hit", tracer.now(), {"spec": spec.name})
-                    continue
+                self.hits += 1
+                tracer.instant("cache", "hit", tracer.now(), {"spec": spec.name})
+                continue
             self.misses += 1
             pending.append(i)
         tracer.counter("cache", "cache_hits", tracer.now(), self.hits)
         tracer.counter("cache", "cache_misses", tracer.now(), self.misses)
 
-        if not pending:
-            self._record_batch(specs, time.perf_counter() - batch_t0, executed=0)
-            return results
-
         # Cache every result the moment it exists: a point that fails (or a
         # Ctrl-C) must not discard the completed points of a long sweep.
-        def record(i: int, value: Any) -> None:
+        for i, value in execute(pending):
             results[i] = value
-            if self.cache is not None:
+            if keys is not None:
                 self.cache.put(keys[i], value)
+        for i, first in duplicates.items():
+            results[i] = results[first]
+        return results, len(pending)
 
+    def _execute(
+        self, specs: Sequence[ExperimentSpec], pending: list[int]
+    ) -> Iterator[tuple[int, Any]]:
+        """Run the pending specs, yielding each result as it completes:
+        in-process when a pool is not worth spinning up, else on the pool."""
+        if not pending:
+            return
+        tracer = self.tracer
         if self.max_workers == 1 or len(pending) == 1:
             pid = os.getpid()
             lane = f"worker:{pid}"
@@ -468,37 +489,33 @@ class ExperimentRunner:
                 t0 = tracer.now()
                 value = _run_spec(specs[i])
                 tracer.complete(lane, specs[i].name, t0, tracer.now(), {"pid": pid})
-                record(i, value)
-        else:
-            pool = self._ensure_pool()
-            # Only the traced path pays for the timed trampoline; untraced
-            # submissions stay byte-identical to the pre-telemetry runner.
-            task = _run_spec_timed if tracer else _run_spec
-            futures = {pool.submit(task, specs[i]): i for i in pending}
-            try:
-                for future in as_completed(futures):
-                    i = futures[future]
-                    value = future.result()
-                    if tracer:
-                        value, t0, t1, pid = value
-                        lane = f"worker:{pid}"
-                        tracer.declare_lane(lane, process="runner", label=f"pid {pid}")
-                        tracer.complete(
-                            lane,
-                            specs[i].name,
-                            max(0.0, tracer.to_timeline(t0)),
-                            max(0.0, tracer.to_timeline(t1)),
-                            {"pid": pid},
-                        )
-                    record(i, value)
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        for i, first in duplicates.items():
-            results[i] = results[first]
-        self._record_batch(specs, time.perf_counter() - batch_t0, executed=len(pending))
-        return results
+                yield i, value
+            return
+        pool = self._ensure_pool()
+        # Only the traced path pays for the timed trampoline; untraced
+        # submissions stay byte-identical to the pre-telemetry runner.
+        task = _run_spec_timed if tracer else _run_spec
+        futures = {pool.submit(task, specs[i]): i for i in pending}
+        try:
+            for future in as_completed(futures):
+                i = futures[future]
+                value = future.result()
+                if tracer:
+                    value, t0, t1, pid = value
+                    lane = f"worker:{pid}"
+                    tracer.declare_lane(lane, process="runner", label=f"pid {pid}")
+                    tracer.complete(
+                        lane,
+                        specs[i].name,
+                        max(0.0, tracer.to_timeline(t0)),
+                        max(0.0, tracer.to_timeline(t1)),
+                        {"pid": pid},
+                    )
+                yield i, value
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
 
     def _record_batch(self, specs: Sequence[ExperimentSpec], wall_s: float, executed: int) -> None:
         """One ledger record per ``run_specs`` batch: what ran, how long,
@@ -535,24 +552,8 @@ class ExperimentRunner:
         spec names so sweep traces read as ``dse[dim=16,tile=2]`` instead
         of ``dse[7]``; it is display-only and never reaches the cache key.
         """
-        items = list(items)
-        if labels is not None:
-            labels = list(labels)
-            if len(labels) != len(items):
-                raise ValueError(
-                    f"labels length {len(labels)} does not match items length {len(items)}"
-                )
         base = label or getattr(fn, "__name__", "map")
-        call = _ItemCall(fn)
-        specs = [
-            ExperimentSpec(
-                name=f"{base}[{labels[i] if labels is not None else i}]",
-                fn=call,
-                kwargs=(("item", item),),
-            )
-            for i, item in enumerate(items)
-        ]
-        return self.run_specs(specs)
+        return self.run_specs(_item_specs(_ItemCall(fn), list(items), base, labels))
 
     def map_batch(
         self,
@@ -575,49 +576,15 @@ class ExperimentRunner:
         below what a process fan-out would amortise.
         """
         items = list(items)
-        if labels is not None:
-            labels = list(labels)
-            if len(labels) != len(items):
-                raise ValueError(
-                    f"labels length {len(labels)} does not match items length {len(items)}"
-                )
         base = label or getattr(batch_fn, "__name__", "map_batch")
-        call = _BatchCall(batch_fn)
-        shared_kwargs = tuple(sorted(shared.items()))
-        specs = [
-            ExperimentSpec(
-                name=f"{base}[{labels[i] if labels is not None else i}]",
-                fn=call,
-                kwargs=(("item", item),) + shared_kwargs,
-            )
-            for i, item in enumerate(items)
-        ]
-        results: list[Any] = [None] * len(items)
-        pending: list[int] = []
+        specs = _item_specs(
+            _BatchCall(batch_fn), items, base, labels, tuple(sorted(shared.items()))
+        )
         tracer = self.tracer
-        keys = [spec.key for spec in specs] if self.cache is not None else None
-        primary: dict[str, int] = {}
-        duplicates: dict[int, int] = {}
-        for i in range(len(items)):
-            if keys is not None:
-                value = self.cache.get(keys[i])
-                if value is not ResultCache._MISS:
-                    results[i] = value
-                    self.hits += 1
-                    tracer.instant("cache", "hit", tracer.now(), {"spec": specs[i].name})
-                    continue
-                first = primary.setdefault(keys[i], i)
-                if first != i:
-                    duplicates[i] = first
-                    self.hits += 1
-                    tracer.instant("cache", "hit", tracer.now(), {"spec": specs[i].name})
-                    continue
-            self.misses += 1
-            pending.append(i)
-        tracer.counter("cache", "cache_hits", tracer.now(), self.hits)
-        tracer.counter("cache", "cache_misses", tracer.now(), self.misses)
 
-        if pending:
+        def execute(pending: list[int]) -> Iterator[tuple[int, Any]]:
+            if not pending:
+                return
             tracer.declare_lane("batch", process="runner", label="batched evaluator")
             t0 = tracer.now()
             values = list(batch_fn([items[i] for i in pending], **shared))
@@ -630,13 +597,9 @@ class ExperimentRunner:
                     f"batch function returned {len(values)} results "
                     f"for {len(pending)} items"
                 )
-            for i, value in zip(pending, values):
-                results[i] = value
-                if keys is not None:
-                    self.cache.put(keys[i], value)
-        for i, first in duplicates.items():
-            results[i] = results[first]
-        return results
+            yield from zip(pending, values)
+
+        return self._run_cached(specs, execute)[0]
 
     def stats(self) -> RunnerStats:
         """Hits/misses/hit-rate accumulated since the last reset."""
@@ -648,20 +611,47 @@ class ExperimentRunner:
         self.misses = 0
 
 
+def _item_specs(
+    call: Callable[..., Any],
+    items: list[Any],
+    base: str,
+    labels: Sequence[Any] | None,
+    shared: tuple[tuple[str, Any], ...] = (),
+) -> list[ExperimentSpec]:
+    """One spec per item for :meth:`ExperimentRunner.map` and
+    :meth:`ExperimentRunner.map_batch`, named ``base[label]``."""
+    if labels is not None:
+        labels = list(labels)
+        if len(labels) != len(items):
+            raise ValueError(
+                f"labels length {len(labels)} does not match items length {len(items)}"
+            )
+    return [
+        ExperimentSpec(
+            name=f"{base}[{labels[i] if labels is not None else i}]",
+            fn=call,
+            kwargs=(("item", item),) + shared,
+        )
+        for i, item in enumerate(items)
+    ]
+
+
 class _ItemCall:
     """Adapter turning ``fn(item)`` into a kwargs call; picklable when fn is."""
 
-    def __init__(self, fn: Callable[[Any], Any]) -> None:
+    kind = "item"
+
+    def __init__(self, fn: Callable[..., Any]) -> None:
         self.fn = fn
         self.__module__ = getattr(fn, "__module__", "?")
-        self.__qualname__ = f"item:{getattr(fn, '__qualname__', repr(fn))}"
+        self.__qualname__ = f"{self.kind}:{getattr(fn, '__qualname__', repr(fn))}"
         self.__wrapped__ = fn  # lets ExperimentSpec.key fingerprint the source
 
     def __call__(self, item: Any) -> Any:
         return self.fn(item)
 
 
-class _BatchCall:
+class _BatchCall(_ItemCall):
     """Per-item cache identity over a batch function (``map_batch``).
 
     The spec's kwargs carry one item plus the shared keywords; calling the
@@ -670,11 +660,7 @@ class _BatchCall:
     path still computes the right value.
     """
 
-    def __init__(self, fn: Callable[..., Sequence[Any]]) -> None:
-        self.fn = fn
-        self.__module__ = getattr(fn, "__module__", "?")
-        self.__qualname__ = f"batch:{getattr(fn, '__qualname__', repr(fn))}"
-        self.__wrapped__ = fn  # lets ExperimentSpec.key fingerprint the source
+    kind = "batch"
 
     def __call__(self, item: Any, **shared: Any) -> Any:
         return self.fn([item], **shared)[0]

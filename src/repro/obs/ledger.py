@@ -16,29 +16,28 @@ The ledger is the durable sample store behind ``gemmini-repro history``
 and the training corpus the learned-surrogate fidelity tier will draw
 (config, workload, metrics) samples from.
 
-Durability contract: one record is one line, written with a single
-``os.write`` on an ``O_APPEND`` descriptor under an ``flock`` (where
-available), so concurrent appends from :class:`~repro.eval.runner
-.ExperimentRunner` worker processes never interleave.  Reads skip and
-warn on corrupt lines (a truncated tail from a killed process costs that
-one record, never the file).  Like the tracer and metric stream, the
-disabled form is the :data:`NULL_LEDGER` null object — call sites append
-unconditionally.
+Durability contract: one record is one line appended through
+:func:`repro.store.append_json`, so concurrent appends from
+:class:`~repro.eval.runner.ExperimentRunner` worker processes never
+interleave.  Reads skip and warn on corrupt lines (a truncated tail from a
+killed process costs that one record, never the file).  Like the tracer
+and metric stream, the disabled form is the :data:`NULL_LEDGER` null
+object — call sites append unconditionally.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+from repro.store import append_json, env_path, read_json_lines
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,8 +55,7 @@ __all__ = [
 #: accepting every version they know how to interpret
 SCHEMA_VERSION = 1
 
-#: ``REPRO_LEDGER`` values that mean "no ledger at all"
-_DISABLED = {"0", "off", "none", "disabled"}
+_DEFAULT_PATH = Path(".repro-ledger") / "ledger.jsonl"
 
 
 # ---------------------------------------------------------------------- #
@@ -193,29 +191,23 @@ class RunRecord:
 def default_ledger_path() -> Path:
     """``$REPRO_LEDGER`` when it names a path, else ``.repro-ledger/
     ledger.jsonl`` under the working directory."""
-    env = os.environ.get("REPRO_LEDGER", "").strip()
-    if env and env.lower() not in _DISABLED:
-        return Path(env)
-    return Path(".repro-ledger") / "ledger.jsonl"
+    return env_path("REPRO_LEDGER", _DEFAULT_PATH) or _DEFAULT_PATH
 
 
 def ledger_from_env() -> "RunLedger | NullLedger":
     """The ambient ledger: honours ``REPRO_LEDGER`` (path or ``off``)."""
-    env = os.environ.get("REPRO_LEDGER", "").strip()
-    if env.lower() in _DISABLED and env:
-        return NULL_LEDGER
-    return RunLedger(default_ledger_path())
+    path = env_path("REPRO_LEDGER", _DEFAULT_PATH)
+    return NULL_LEDGER if path is None else RunLedger(path)
 
 
 class RunLedger:
     """Append-only JSONL store of :class:`RunRecord` lines.
 
-    Appends are crash- and concurrency-safe by construction: the record is
-    serialised to one ``\\n``-terminated line first, then written with a
-    single ``os.write`` on an ``O_APPEND`` descriptor while holding an
-    exclusive ``flock`` (on platforms that have one).  Two processes can
-    therefore never interleave bytes, and a killed writer leaves at most
-    one truncated *final* line — which reads skip with a warning.
+    Appends are crash- and concurrency-safe by construction
+    (:func:`repro.store.append_json`): two processes never interleave
+    bytes, and a killed writer leaves at most one truncated *final* line —
+    which reads skip with a warning.  A failed append raises and leaves
+    the file as it was.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -225,19 +217,7 @@ class RunLedger:
 
     def append(self, record: RunRecord) -> RunRecord:
         """Durably append one record; returns it for chaining."""
-        line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-        data = (line + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            locked = _lock(fd)
-            try:
-                os.write(fd, data)
-            finally:
-                if locked:
-                    _unlock(fd)
-        finally:
-            os.close(fd)
+        append_json(self.path, record.to_dict())
         return record
 
     def record(
@@ -286,34 +266,7 @@ class RunLedger:
         common cause is a truncated tail from a writer killed mid-append,
         which must never take the rest of the history with it.
         """
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        out: list[RunRecord] = []
-        lines = text.split("\n")
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                tail = " (truncated final line?)" if i >= len(lines) - 2 else ""
-                warnings.warn(
-                    f"ledger {self.path}: skipping corrupt line {i + 1}{tail}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            if not isinstance(data, dict):
-                warnings.warn(
-                    f"ledger {self.path}: skipping non-record line {i + 1}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            out.append(RunRecord.from_dict(data))
-        return out
+        return read_json_lines(self.path, "ledger", RunRecord.from_dict)
 
     def history(
         self,
@@ -377,34 +330,6 @@ class NullLedger(RunLedger):
 
 
 NULL_LEDGER = NullLedger()
-
-
-# ---------------------------------------------------------------------- #
-# File locking (POSIX; no-op where fcntl is unavailable)                  #
-# ---------------------------------------------------------------------- #
-
-try:
-    import fcntl as _fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    _fcntl = None
-
-
-def _lock(fd: int) -> bool:
-    if _fcntl is None:
-        return False
-    try:
-        _fcntl.flock(fd, _fcntl.LOCK_EX)
-    except OSError:  # pragma: no cover - exotic filesystems without flock
-        return False
-    return True
-
-
-def _unlock(fd: int) -> None:
-    assert _fcntl is not None
-    try:
-        _fcntl.flock(fd, _fcntl.LOCK_UN)
-    except OSError:  # pragma: no cover
-        pass
 
 
 def merge_ledgers(

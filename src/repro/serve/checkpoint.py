@@ -5,8 +5,10 @@ generator frames live, nothing in flight), which makes the whole
 :class:`~repro.serve.cluster.ServingSimulation` — SoC state, scheduler
 queue, pending arrivals, per-tenant RNG cursors, tile clocks, metric
 estimators, partial records — one picklable object graph.  A checkpoint
-is that pickle plus a schema stamp, written atomically (tmp file +
-``os.replace``) so a kill mid-write never corrupts the last good one.
+is that pickle plus a schema stamp and the package source fingerprint,
+written atomically (:func:`repro.store.write_atomic`) so a kill mid-write
+never corrupts the last good one.  Loading unpickles, which runs code
+from the file: only load checkpoints you wrote.
 
 Resuming is :func:`load_checkpoint` followed by
 :meth:`~repro.serve.cluster.ServingSimulation.run`: parked actors
@@ -17,32 +19,30 @@ so the continued schedule — and the final :class:`~repro.serve.metrics
 
 from __future__ import annotations
 
-import os
 import pickle
 from pathlib import Path
 
+from repro.eval.runner import _source_fingerprint
 from repro.serve.cluster import ServingSimulation
+from repro.store import write_atomic
 
 __all__ = ["CHECKPOINT_SCHEMA", "save_checkpoint", "load_checkpoint"]
 
 #: bump on any incompatible change to the pickled layout
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 def save_checkpoint(sim: ServingSimulation, path: str | Path) -> None:
     """Atomically write ``sim`` (parked at a barrier) to ``path``."""
     if any(actor.stream is not None for actor in sim._actors):
         raise RuntimeError("checkpoint outside a barrier: a tile stream is live")
-    path = Path(path)
-    payload = {"schema": CHECKPOINT_SCHEMA, "sim": sim}
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
+    payload = {"schema": CHECKPOINT_SCHEMA, "source": _source_fingerprint(), "sim": sim}
+    write_atomic(Path(path), pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def load_checkpoint(path: str | Path) -> ServingSimulation:
-    """Load a checkpointed simulation, ready for ``run()`` to continue."""
+    """Load a checkpointed simulation, ready for ``run()`` to continue;
+    refuses another schema, then another source tree's checkpoint."""
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
     if not isinstance(payload, dict) or "schema" not in payload:
@@ -50,6 +50,12 @@ def load_checkpoint(path: str | Path) -> ServingSimulation:
     if payload["schema"] != CHECKPOINT_SCHEMA:
         raise ValueError(
             f"{path}: checkpoint schema {payload['schema']} != {CHECKPOINT_SCHEMA}"
+        )
+    source = _source_fingerprint()
+    if payload.get("source") != source:
+        raise ValueError(
+            f"{path}: checkpoint written by source tree {payload.get('source')}, "
+            f"this is {source}"
         )
     sim = payload["sim"]
     if not isinstance(sim, ServingSimulation):

@@ -11,10 +11,9 @@ specialise hot shapes, keep the generic path as the safety net).
 Storage is an append-only JSONL file (``.repro-schedule-cache/
 schedules.jsonl`` by default; ``REPRO_SCHEDULE_CACHE`` or
 ``--schedule-cache PATH`` move it, ``off`` disables via the
-:data:`NULL_SCHEDULE_CACHE` null object).  Appends reuse the run ledger's
-durability contract — one record per line written with a single
-``os.write`` on an ``O_APPEND`` descriptor under ``flock`` — so tuner
-processes never interleave bytes, and reads skip corrupt lines.  Records
+:data:`NULL_SCHEDULE_CACHE` null object).  Appends and reads go through
+:mod:`repro.store`, like the run ledger's, so tuner processes never
+interleave bytes, and reads skip corrupt lines.  Records
 are keyed by a content hash of (shape, dtype, accelerator ``config_hash``,
 double-buffer flag, tuner version); the last record per key wins, so
 re-tuning simply appends.
@@ -31,13 +30,12 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 from repro.core.config import GemminiConfig
-from repro.obs.ledger import _lock, _unlock
+from repro.store import append_json, env_path, read_json_lines
 from repro.sw.tiling import MatmulTiling
 
 __all__ = [
@@ -64,8 +62,7 @@ SCHEMA_VERSION = 1
 #: stop matching (their key embeds the version) and shapes re-tune
 TUNER_VERSION = 1
 
-#: ``REPRO_SCHEDULE_CACHE`` values that mean "no cache at all"
-_DISABLED = {"0", "off", "none", "disabled"}
+_DEFAULT_PATH = Path(".repro-schedule-cache") / "schedules.jsonl"
 
 
 @lru_cache(maxsize=128)
@@ -95,18 +92,7 @@ class ScheduleKey:
 
     @property
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "m": self.m,
-                "k": self.k,
-                "n": self.n,
-                "dtype": self.dtype,
-                "config_hash": self.config_hash,
-                "double_buffer": self.double_buffer,
-                "tuner_version": self.tuner_version,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict:
@@ -224,29 +210,10 @@ class ScheduleCache:
     def _load(self) -> dict[str, ScheduleRecord]:
         if self._memory is not None:
             return self._memory
-        memory: dict[str, ScheduleRecord] = {}
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            text = ""
-        lines = text.split("\n")
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-                record = ScheduleRecord.from_dict(data)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                tail = " (truncated final line?)" if i >= len(lines) - 2 else ""
-                warnings.warn(
-                    f"schedule cache {self.path}: skipping corrupt line {i + 1}{tail}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                continue
-            memory[record.key.digest] = record  # last record per key wins
-        self._memory = memory
-        return memory
+        records = read_json_lines(self.path, "schedule cache", ScheduleRecord.from_dict)
+        # the last record per key wins
+        self._memory = {record.key.digest: record for record in records}
+        return self._memory
 
     def refresh(self) -> None:
         """Drop the in-memory layer; the next lookup re-reads the file."""
@@ -273,22 +240,11 @@ class ScheduleCache:
     # -- writing -------------------------------------------------------- #
 
     def put(self, record: ScheduleRecord) -> ScheduleRecord:
-        """Durably append one record (ledger-style single flocked write)."""
+        """Durably append one record; a failed append raises and leaves the
+        file and the in-memory map as they were."""
         if not record.ts:
             record.ts = time.time()
-        line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
-        data = (line + "\n").encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            locked = _lock(fd)
-            try:
-                os.write(fd, data)
-            finally:
-                if locked:
-                    _unlock(fd)
-        finally:
-            os.close(fd)
+        append_json(self.path, record.to_dict())
         if self._memory is not None:
             self._memory[record.key.digest] = record
         return record
@@ -336,18 +292,13 @@ NULL_SCHEDULE_CACHE = NullScheduleCache()
 def default_schedule_cache_path() -> Path:
     """``$REPRO_SCHEDULE_CACHE`` when it names a path, else
     ``.repro-schedule-cache/schedules.jsonl`` under the working directory."""
-    env = os.environ.get("REPRO_SCHEDULE_CACHE", "").strip()
-    if env and env.lower() not in _DISABLED:
-        return Path(env)
-    return Path(".repro-schedule-cache") / "schedules.jsonl"
+    return env_path("REPRO_SCHEDULE_CACHE", _DEFAULT_PATH) or _DEFAULT_PATH
 
 
 def schedule_cache_from_env() -> ScheduleCache:
     """A fresh cache honouring ``REPRO_SCHEDULE_CACHE`` (path or ``off``)."""
-    env = os.environ.get("REPRO_SCHEDULE_CACHE", "").strip()
-    if env and env.lower() in _DISABLED:
-        return NULL_SCHEDULE_CACHE
-    return ScheduleCache(default_schedule_cache_path())
+    path = env_path("REPRO_SCHEDULE_CACHE", _DEFAULT_PATH)
+    return NULL_SCHEDULE_CACHE if path is None else ScheduleCache(path)
 
 
 #: (env value the default was resolved under, the cache) — or an explicit

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.core.config import default_config
 from repro.obs.ledger import (
     NULL_LEDGER,
     SCHEMA_VERSION,
@@ -17,6 +18,8 @@ from repro.obs.ledger import (
     merge_ledgers,
     provenance,
 )
+from repro.sw.schedule_cache import ScheduleCache, ScheduleRecord, schedule_key
+from repro.sw.tiling import MatmulTiling
 
 
 class TestProvenance:
@@ -153,14 +156,16 @@ class TestRunLedger:
 
 
 class TestConcurrentAppends:
-    def test_parallel_writers_never_interleave(self, tmp_path):
+    @pytest.mark.parametrize("store", ["ledger", "schedule_cache"])
+    def test_parallel_writers_never_interleave(self, tmp_path, store):
         """N processes append in lockstep; every line must parse and every
-        record must survive (single O_APPEND write + flock per record)."""
-        path = tmp_path / "ledger.jsonl"
+        record must survive (single O_APPEND write + flock per record).
+        The ledger and the schedule cache share that append path."""
+        path = tmp_path / "store.jsonl"
         ctx = multiprocessing.get_context("fork")
         barrier = ctx.Barrier(4)
         procs = [
-            ctx.Process(target=_hammer, args=(str(path), barrier, worker))
+            ctx.Process(target=_hammer, args=(str(path), barrier, worker, store))
             for worker in range(4)
         ]
         for p in procs:
@@ -170,19 +175,39 @@ class TestConcurrentAppends:
             assert p.exitcode == 0
         lines = path.read_text().splitlines()
         assert len(lines) == 4 * 25
-        names = [json.loads(line)["name"] for line in lines]
-        for worker in range(4):
-            assert sum(n.startswith(f"w{worker}-") for n in names) == 25
+        assert all(isinstance(json.loads(line), dict) for line in lines)
+        if store == "ledger":
+            records = RunLedger(path).records()
+            assert sorted(int(r.name) for r in records) == list(range(100))
+            assert len({r.run_id for r in records}) == 100
+        else:
+            records = ScheduleCache(path).records()
+            assert sorted(r.key.m - 1 for r in records) == list(range(100))
+
+
+def _hammer(path: str, barrier, worker: int, store: str) -> None:
+    if store == "ledger":
         ledger = RunLedger(path)
-        assert len(ledger.records()) == 100
-        assert len({r.run_id for r in ledger.records()}) == 100
 
+        def append(n):
+            ledger.record("bench", str(n), metrics={"n": float(n)})
 
-def _hammer(path: str, barrier, worker: int) -> None:
-    ledger = RunLedger(path)
+    else:
+        cache = ScheduleCache(path)
+        config = default_config()
+
+        def append(n):
+            m = n + 1
+            cache.put(
+                ScheduleRecord(
+                    key=schedule_key(config, m, 16, 16),
+                    tiling=MatmulTiling(1, 1, 1, config.dim, m, 16, 16),
+                )
+            )
+
     barrier.wait()
     for i in range(25):
-        ledger.record("bench", f"w{worker}-{i}", metrics={"i": float(i)})
+        append(worker * 25 + i)
 
 
 class TestNullLedger:
