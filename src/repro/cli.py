@@ -794,7 +794,10 @@ def cmd_serve(args) -> int:
         ctx.metrics = sim.metrics
         if args.live_metrics and ctx.metrics:
             ctx.metrics.on_snapshot = _live_printer("serve")
-        ctx.run_id = getattr(ctx.tracer, "run_id", None) or ctx.run_id
+        # A checkpoint written without a tracer holds the null tracer, whose
+        # run id is the constant "null"; only a live trace's id is adopted.
+        if ctx.tracer.enabled:
+            ctx.run_id = ctx.tracer.run_id
         print(f"resuming: {args.resume}")
     else:
         design = None

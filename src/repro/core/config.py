@@ -123,6 +123,11 @@ class GemminiConfig:
         return self.grid_rows * self.grid_cols
 
     @property
+    def input_bits(self) -> int:
+        """Width of one input (datapath) element."""
+        return self.input_type.bits
+
+    @property
     def sp_row_bytes(self) -> int:
         """Bytes per scratchpad row (DIM input elements)."""
         return self.dim * self.input_type.bytes

@@ -416,7 +416,11 @@ class FunctionalMesh:
 
 @dataclass(frozen=True)
 class MatmulCost:
-    """Cycle breakdown of a blocked matmul on the array."""
+    """Cycle breakdown of a blocked matmul on the array.
+
+    Fields are Python numbers for one config, or numpy arrays when the
+    model runs over a :class:`~repro.dse.batch.ConfigColumns` batch.
+    """
 
     compute_cycles: float
     drain_cycles: float
@@ -426,70 +430,6 @@ class MatmulCost:
     @property
     def total(self) -> float:
         return self.compute_cycles + self.drain_cycles + self.fill_latency
-
-
-@dataclass(frozen=True)
-class MatmulCostBatch:
-    """Array-shaped :class:`MatmulCost`: one cycle breakdown per design.
-
-    Every field is a numpy array (or broadcastable scalar); the arithmetic
-    mirrors :meth:`SpatialArrayModel.matmul_cost` term for term so the
-    batched DSE fast path stays within 1e-9 of :func:`~repro.dse.objectives
-    .evaluate_design`.
-    """
-
-    compute_cycles: np.ndarray
-    drain_cycles: np.ndarray
-    fill_latency: np.ndarray
-    blocks: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.compute_cycles + self.drain_cycles + self.fill_latency
-
-
-def matmul_cost_batch(
-    dim: np.ndarray,
-    mesh_rows: np.ndarray,
-    mesh_cols: np.ndarray,
-    m: np.ndarray,
-    k: np.ndarray,
-    n: np.ndarray,
-    os_dataflow: np.ndarray,
-) -> MatmulCostBatch:
-    """Vectorised :meth:`SpatialArrayModel.matmul_cost` over whole batches.
-
-    All arguments are integer/boolean arrays (or scalars) that broadcast
-    against each other — typically geometry columns shaped ``(1, B)`` and
-    workload shape columns ``(S, 1)``, yielding ``(S, B)`` costs.
-    ``os_dataflow`` selects the output-stationary drain per design; BOTH
-    must already be resolved to WS by the caller (as the evaluator does).
-    """
-    dim = np.asarray(dim, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
-    k = np.asarray(k, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    if int(min(m.min(), k.min(), n.min())) <= 0:
-        raise ValueError("matmul dimensions must be positive")
-    mb = -(-m // dim)
-    kb = -(-k // dim)
-    nb = -(-n // dim)
-    blocks = mb * kb * nb
-
-    last_m = m - (mb - 1) * dim
-    full_col_cycles = (mb - 1) * dim + last_m
-    compute = (kb * nb * full_col_cycles).astype(np.float64)
-
-    # OS drains each output block through the array (one column wave of
-    # ``dim`` cycles); WS streams results straight out.
-    drain = np.where(os_dataflow, (mb * nb * dim).astype(np.float64), 0.0)
-    fill = ((np.asarray(mesh_rows) - 1) + (np.asarray(mesh_cols) - 1) + 2).astype(np.float64)
-    return MatmulCostBatch(
-        compute_cycles=compute,
-        drain_cycles=drain,
-        fill_latency=np.broadcast_to(fill, compute.shape).copy(),
-        blocks=blocks,
-    )
 
 
 class SpatialArrayModel:
@@ -541,30 +481,51 @@ class SpatialArrayModel:
         scratchpad (no DMA), at DIM-block granularity."""
         if min(m, k, n) <= 0:
             raise ValueError("matmul dimensions must be positive")
-        if dataflow is Dataflow.BOTH:
-            dataflow = Dataflow.WS
+        # BOTH runs weight-stationary.
+        return self.blocked_cost(m, k, n, dataflow is Dataflow.OS)
+
+    def blocked_cost(self, m, k, n, output_stationary) -> MatmulCost:
+        """The closed form behind :meth:`matmul_cost`, unvalidated.
+
+        Plain integer arithmetic, so it runs unchanged on Python ints (one
+        config) and on broadcasting numpy arrays: shape columns against the
+        per-design columns of a :class:`~repro.dse.batch.ConfigColumns`
+        batch.  ``output_stationary`` is a bool (or bool array) selecting
+        the OS drain.
+        """
         dim = self.dim
         mb = -(-m // dim)
         kb = -(-k // dim)
         nb = -(-n // dim)
-        blocks = mb * kb * nb
-
         last_m = m - (mb - 1) * dim
         # Each (k, n) block streams the M dimension through the array.
         full_col_cycles = (mb - 1) * dim + last_m
-        compute = kb * nb * full_col_cycles
-
-        if dataflow is Dataflow.WS:
-            drain = 0.0
-        else:
-            # OS drains each output block through the array.
-            drain = float(mb * nb * self.os_drain_cycles())
+        # OS drains each output block through the array; WS streams out.
+        drain = mb * nb * self.os_drain_cycles() * output_stationary
+        # ``* 1.0`` turns ints and int arrays alike into floats, exactly.
         return MatmulCost(
-            compute_cycles=float(compute),
-            drain_cycles=drain,
-            fill_latency=float(self.fill_latency),
-            blocks=blocks,
+            compute_cycles=kb * nb * full_col_cycles * 1.0,
+            drain_cycles=drain * 1.0,
+            fill_latency=self.fill_latency * 1.0,
+            blocks=mb * kb * nb,
         )
+
+    def workload_cycles(self, shapes):
+        """Total cycles of a suite of ``(M, K, N)`` matmuls in the config's
+        own dataflow (BOTH runs WS): a float for one config, one array
+        entry per design over a :class:`~repro.dse.batch.ConfigColumns`
+        batch.  The single analytic workload estimate behind DSE scoring
+        and SJF service times.
+        """
+        # Shapes run down axis 0, against the batch axis (if any) after it.
+        batch_axes = (1,) * np.ndim(self.dim)
+        suite = np.asarray(shapes, dtype=np.int64).reshape(-1, 3, *batch_axes)
+        cost = self.blocked_cost(
+            suite[:, 0], suite[:, 1], suite[:, 2], self.config.dataflow == Dataflow.OS
+        )
+        # Block counts are integral, so the sum is exact in any order.
+        total = cost.total.sum(axis=0)
+        return total if batch_axes else float(total)
 
     def ideal_macs_per_cycle(self) -> int:
         return self.config.num_pes

@@ -19,7 +19,6 @@ from repro.dse.engine import (
 )
 from repro.dse.batch import (
     ConfigColumns,
-    UnsupportedPoint,
     build_columns,
     group_by_components,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "model_workload",
     "parse_objectives",
     "ConfigColumns",
-    "UnsupportedPoint",
     "build_columns",
     "group_by_components",
     "MetricBound",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import Dataflow, GemminiConfig
+from repro.core.config import GemminiConfig
 from repro.core.spatial_array import SpatialArrayModel
 from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_to_config
 from repro.physical.area import accelerator_area
@@ -296,29 +296,21 @@ def _serving_metrics(config: GemminiConfig, spec: EvaluationSpec, fmax: float, p
     }
 
 
-def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
-    """Score one point: the cost model every strategy optimises against.
+def _design_metrics(config, spec: EvaluationSpec, measured=None) -> dict:
+    """The analytic metric set, written once for both evaluation paths.
 
-    Points carrying the structural ``components`` axis describe whole
-    heterogeneous fleets; they are scored per tile class and aggregated
-    (see :func:`_aggregate_fleet`).  Module-level so
-    :class:`~repro.eval.runner.ExperimentRunner` can ship it to worker
-    processes and cache results under a stable key.
+    ``config`` is one :class:`~repro.core.config.GemminiConfig` (Python
+    numbers out) or a :class:`~repro.dse.batch.ConfigColumns` batch (one
+    numpy array entry per design out).  ``measured`` is the ``(cycles,
+    energy_mj)`` of a full-SoC run; without it both come from the analytic
+    cycle and energy models.
     """
-    if COMPONENTS_KEY in point:
-        return _evaluate_structural(point, spec)
-    config = point_to_config(point)
+    workload = spec.workload
     fmax = max_frequency_ghz(config)
     area_um2 = accelerator_area(config, cpu=spec.cpu).total
     dyn_power = power_mw(config, frequency_ghz=fmax)
-
-    workload = spec.workload
-    if spec.fidelity == "soc":
-        cycles, energy_mj = _soc_cycles_and_energy(config, spec)
-    else:
-        model = SpatialArrayModel(config)
-        dataflow = Dataflow.WS if config.dataflow is Dataflow.BOTH else config.dataflow
-        cycles = sum(model.matmul_cost(m, k, n, dataflow).total for m, k, n in workload.shapes)
+    if measured is None:
+        cycles = SpatialArrayModel(config).workload_cycles(workload.shapes)
         energy_mj = estimate_energy(
             config,
             macs=workload.total_macs,
@@ -327,11 +319,13 @@ def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
             dram_bytes=workload.operand_bytes,
             clock_ghz=fmax,
         ).total_mj
+    else:
+        cycles, energy_mj = measured
 
     seconds = cycles / (fmax * 1e9)
     latency_ms = seconds * 1e3
-    metrics = {
-        "cycles": float(cycles),
+    return {
+        "cycles": cycles,
         "latency_ms": latency_ms,
         "area_mm2": area_um2 / 1e6,
         "power_mw": dyn_power,
@@ -340,8 +334,28 @@ def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
         "throughput_gmacs": workload.total_macs / seconds / 1e9,
         "edp": energy_mj * latency_ms,
     }
+
+
+def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
+    """Score one point: the cost model every strategy optimises against.
+
+    Points carrying the structural ``components`` axis describe whole
+    heterogeneous fleets; they are scored per tile class and aggregated
+    (see :func:`_evaluate_batch_structural`).  Module-level so
+    :class:`~repro.eval.runner.ExperimentRunner` can ship it to worker
+    processes and cache results under a stable key.
+    """
+    if COMPONENTS_KEY in point:
+        return _evaluate_batch_structural([point], spec)[0]
+    config = point_to_config(point)
+    measured = _soc_cycles_and_energy(config, spec) if spec.fidelity == "soc" else None
+    metrics = {
+        name: float(value) for name, value in _design_metrics(config, spec, measured).items()
+    }
     if spec.traffic is not None:
-        metrics.update(_serving_metrics(config, spec, fmax, dyn_power))
+        metrics.update(
+            _serving_metrics(config, spec, metrics["fmax_ghz"], metrics["power_mw"])
+        )
     return Evaluation(
         point=tuple(sorted(point.items())),
         config_summary=config.describe(),
@@ -407,13 +421,12 @@ def _aggregate_fleet(
 ) -> Evaluation:
     """Combine per-tile-class evaluations into one fleet evaluation.
 
-    Pure arithmetic over the component metrics — shared verbatim by the
-    scalar and batched paths, so structural evaluations stay bitwise
-    consistent between them.  The model: one shared clock domain at the
-    slowest component's fmax; the workload's latency is the fastest
-    component's (a single inference runs on one tile); area and power sum
-    over the fleet (power linearly re-clocked to the shared frequency);
-    throughput assumes every tile streams the workload concurrently.
+    Pure arithmetic over the component metrics.  The model: one shared
+    clock domain at the slowest component's fmax; the workload's latency
+    is the fastest component's (a single inference runs on one tile); area
+    and power sum over the fleet (power linearly re-clocked to the shared
+    frequency); throughput assumes every tile streams the workload
+    concurrently.
     """
     fmax = min(evaluation.metric("fmax_ghz") for __, __, evaluation in parts)
     # stable min: ties resolve to the first (mix-order) component
@@ -455,45 +468,19 @@ def _aggregate_fleet(
     )
 
 
-def _evaluate_structural(point: dict, spec: EvaluationSpec) -> Evaluation:
-    """Scalar-path structural evaluation: score each tile class, aggregate."""
-    sub_spec = _component_spec(spec)
-    parts = [
-        (preset, count, evaluate_design(row, sub_spec))
-        for preset, count, row in _structural_rows(point)
-    ]
-    return _aggregate_fleet(point, parts, spec)
-
-
-#: The 8 analytic metric names, pre-sorted (the order ``sorted(metrics
-#: .items())`` produces in :func:`evaluate_design`); the batched fast path
-#: assembles metric tuples from per-metric columns in this order.
-_ANALYTIC_METRICS_SORTED: tuple[str, ...] = (
-    "area_mm2",
-    "cycles",
-    "edp",
-    "energy_mj",
-    "fmax_ghz",
-    "latency_ms",
-    "power_mw",
-    "throughput_gmacs",
-)
-
-
 def _evaluate_batch_structural(
     points: "list[dict]", spec: EvaluationSpec
 ) -> "list[Evaluation]":
-    """Batched evaluation of a mixed plain/structural point list.
+    """Evaluate a mixed plain/structural point list (the one structural path).
 
     Structural points are grouped by component signature
     (:func:`~repro.dse.batch.group_by_components`) and decomposed into
-    their per-tile-class sub-rows; the unique sub-rows — one per tile
+    their per-tile-class sub-rows.  The unique sub-rows — one per tile
     class per shared-axis combination, however many fleets reference it —
-    join the plain points in a single columnised
-    :func:`evaluate_design_batch` call, and each fleet is then aggregated
-    with the same arithmetic as the scalar path.  Only reached on the
-    analytic/no-traffic fast path, so sub-rows never re-trigger the
-    structural branch (no recursion).
+    are scored in one :func:`evaluate_design_batch` call under
+    :func:`_component_spec`, the plain points in another under ``spec``,
+    and each fleet is then aggregated by :func:`_aggregate_fleet`.
+    Sub-rows are plain points, so they never re-enter this path.
     """
     from repro.dse.batch import group_by_components
     from repro.dse.space import point_key
@@ -511,11 +498,12 @@ def _evaluate_batch_structural(
                 keyed.append((preset, count, key))
             per_point[index] = keyed
 
-    sub_keys = list(sub_rows)
-    combined = [points[i] for i in plain_indices] + [sub_rows[k] for k in sub_keys]
-    evaluated = evaluate_design_batch(combined, spec)
-    plain_evals = dict(zip(plain_indices, evaluated[: len(plain_indices)]))
-    row_evals = dict(zip(sub_keys, evaluated[len(plain_indices):]))
+    plain_evals = dict(
+        zip(plain_indices, evaluate_design_batch([points[i] for i in plain_indices], spec))
+    )
+    row_evals = dict(
+        zip(sub_rows, evaluate_design_batch(list(sub_rows.values()), _component_spec(spec)))
+    )
 
     out: "list[Evaluation]" = []
     for index, point in enumerate(points):
@@ -531,96 +519,45 @@ def _evaluate_batch_structural(
 
 
 def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[Evaluation]":
-    """Score a whole batch of points through the vectorised analytic path.
+    """Score a whole batch of points: ``[evaluate_design(p, spec) for p in
+    points]``, bitwise.
 
-    Produces exactly the :class:`Evaluation` objects ``[evaluate_design(p,
-    spec) for p in points]`` would (metrics within 1e-9 relative; point and
-    config summary identical), but runs the cost pipeline — matmul cycles,
-    fmax, area, power, energy — as a handful of numpy expressions over
-    struct-of-arrays config columns instead of one Python object per point.
-
-    The fast path only covers the analytic fidelity without a traffic
-    profile, on points made of the standard :func:`~repro.dse.space
-    .gemmini_space` axes; ``fidelity="soc"``, serving objectives and
-    points carrying other config keys fall back to :func:`evaluate_design`
-    point by point.  Module-level and pure-data in/out, so batches ship
-    through :class:`~repro.eval.runner.ExperimentRunner` workers and cache
-    under content-hash keys.
+    On the analytic fidelity without a traffic profile, the batch is
+    columnised (:func:`~repro.dse.batch.build_columns`) and
+    :func:`_design_metrics` runs once over the columns: a handful of numpy
+    expressions instead of one Python object per point.  Structural points
+    take the grouped path; ``fidelity="soc"`` and serving objectives need a
+    simulation per point and go through :func:`evaluate_design`.
+    Module-level and pure-data in/out, so batches ship through
+    :class:`~repro.eval.runner.ExperimentRunner` workers and cache under
+    content-hash keys.
     """
-    import numpy as np
-
-    from repro.core.spatial_array import matmul_cost_batch
-    from repro.dse.batch import UnsupportedPoint, build_columns
-    from repro.physical.area import accelerator_area_batch
-    from repro.physical.energy import estimate_energy_batch
-    from repro.physical.power import power_mw_batch
-    from repro.physical.timing import max_frequency_ghz_batch
+    from repro.dse.batch import build_columns
 
     points = list(points)
     if not points:
         return []
-    if spec.fidelity != "analytic" or spec.traffic is not None:
-        return [evaluate_design(p, spec) for p in points]
     if any(COMPONENTS_KEY in p for p in points):
         return _evaluate_batch_structural(points, spec)
-    try:
-        cols = build_columns(points)
-    except UnsupportedPoint:
+    if spec.fidelity != "analytic" or spec.traffic is not None:
         return [evaluate_design(p, spec) for p in points]
 
-    fmax = max_frequency_ghz_batch(cols)
-    area_um2 = accelerator_area_batch(cols, cpu=spec.cpu)
-    dyn_power = power_mw_batch(cols, fmax)
-
-    workload = spec.workload
-    shapes = np.asarray(workload.shapes, dtype=np.int64)  # (S, 3)
-    cost = matmul_cost_batch(
-        dim=cols.dim[None, :],
-        mesh_rows=cols.mesh_rows[None, :],
-        mesh_cols=cols.mesh_cols[None, :],
-        m=shapes[:, 0][:, None],
-        k=shapes[:, 1][:, None],
-        n=shapes[:, 2][:, None],
-        os_dataflow=cols.os_dataflow[None, :],
-    )
-    cycles = cost.total.sum(axis=0)  # block counts are integral: exact
-    energy_mj = estimate_energy_batch(
-        cols,
-        macs=workload.total_macs,
-        cycles=cycles,
-        dma_bytes=workload.operand_bytes,
-        dram_bytes=workload.operand_bytes,
-        clock_ghz=fmax,
-        power_mw_at_clock=dyn_power,
-    )
-
-    seconds = cycles / (fmax * 1e9)
-    latency_ms = seconds * 1e3
-    # Columns in _ANALYTIC_METRICS_SORTED order, pulled down to Python
-    # floats once per column (not once per point).
-    metric_rows = zip(
-        (area_um2 / 1e6).tolist(),
-        cycles.tolist(),
-        (energy_mj * latency_ms).tolist(),
-        energy_mj.tolist(),
-        fmax.tolist(),
-        latency_ms.tolist(),
-        dyn_power.tolist(),
-        (workload.total_macs / seconds / 1e9).tolist(),
-    )
-    summaries = cols.describe_all()
-    names = _ANALYTIC_METRICS_SORTED
-    # Assembling ~1e4 frozen dataclasses dominates the remaining per-point
-    # cost; bypassing the generated __init__ (3 object.__setattr__ calls
-    # per instance) keeps small-workload batches ~10x over the scalar path.
+    cols = build_columns(points)
+    metrics = _design_metrics(cols, spec)
+    names = sorted(metrics)
+    # Each column comes down to Python floats once (not once per point).
+    metric_rows = zip(*(metrics[name].tolist() for name in names))
+    # Assembling thousands of frozen dataclasses dominates the remaining
+    # per-point cost; bypassing the generated __init__ (3
+    # object.__setattr__ calls per instance) keeps it cheap.
     new = object.__new__
     cls = Evaluation
     out: list[Evaluation] = []
-    for point, summary, row in zip(points, summaries, metric_rows):
+    for point, config, row in zip(points, cols.configs, metric_rows):
         evaluation = new(cls)
         evaluation.__dict__.update(
             point=tuple(sorted(point.items())),
-            config_summary=summary,
+            config_summary=config.describe(),
             metrics=tuple(zip(names, row)),
         )
         out.append(evaluation)

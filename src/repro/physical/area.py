@@ -2,17 +2,24 @@
 
 Reproduces Figure 6's decomposition (spatial array / scratchpad /
 accumulator / host CPU / uncore) at any design point of the template.
+
+Like every formula in :mod:`repro.physical`, these take a config-like
+operand: a :class:`~repro.core.config.GemminiConfig` gives Python numbers,
+a :class:`~repro.dse.batch.ConfigColumns` batch gives one numpy array
+entry per design, through the same arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.config import GemminiConfig
 from repro.physical.technology import INTEL_22FFL, Technology
 
 
-def pipeline_register_count(config: GemminiConfig) -> int:
+def pipeline_register_count(config: GemminiConfig):
     """Pipeline register stations in the two-level array.
 
     One station per PE-row crossing of each inter-tile column boundary and
@@ -21,6 +28,12 @@ def pipeline_register_count(config: GemminiConfig) -> int:
     """
     dim = config.dim
     return dim * (config.mesh_rows - 1) + dim * (config.mesh_cols - 1) + 2 * dim
+
+
+def mac_width_scale(config: GemminiConfig):
+    """MAC datapath width relative to the int8 calibration anchor, at least 1."""
+    ratio = config.input_bits / 8.0
+    return np.maximum(1.0, ratio) if isinstance(ratio, np.ndarray) else max(1.0, ratio)
 
 
 @dataclass(frozen=True)
@@ -48,13 +61,12 @@ class AreaBreakdown:
         ]
 
 
-def spatial_array_area(config: GemminiConfig, tech: Technology = INTEL_22FFL) -> float:
+def spatial_array_area(config: GemminiConfig, tech: Technology = INTEL_22FFL):
     """Area of the PE grid plus its pipeline registers, um^2."""
     pes = config.num_pes * tech.pe_area_um2
     regs = pipeline_register_count(config) * tech.pipeline_reg_area_um2
-    # Wider datapaths scale the MAC area (int8 is the calibration anchor).
-    width_scale = max(1.0, config.input_type.bits / 8.0)
-    return pes * width_scale + regs
+    # Wider datapaths scale the MAC area.
+    return pes * mac_width_scale(config) + regs
 
 
 def accelerator_area(
@@ -73,34 +85,3 @@ def accelerator_area(
         uncore=tech.uncore_area_um2,
     )
 
-
-def pipeline_register_count_batch(cols):
-    """Vectorised :func:`pipeline_register_count` over config columns."""
-    return cols.dim * (cols.mesh_rows - 1) + cols.dim * (cols.mesh_cols - 1) + 2 * cols.dim
-
-
-def accelerator_area_batch(cols, cpu: str = "rocket", tech: Technology = INTEL_22FFL):
-    """Vectorised total area (um^2) over struct-of-arrays config columns.
-
-    ``cols`` exposes ``dim``, ``mesh_rows``, ``mesh_cols``, ``num_pes``,
-    ``input_bits``, ``sp_capacity_bytes`` and ``acc_capacity_bytes`` as
-    numpy arrays (see :class:`repro.dse.batch.ConfigColumns`).  Each term
-    mirrors :func:`accelerator_area` / :func:`spatial_array_area` so the
-    batched evaluator's totals match :attr:`AreaBreakdown.total` within
-    1e-9 relative.
-    """
-    import numpy as np
-
-    if cpu not in tech.cpu_area_um2:
-        raise ValueError(f"unknown CPU {cpu!r}; known: {sorted(tech.cpu_area_um2)}")
-    pes = cols.num_pes * tech.pe_area_um2
-    regs = pipeline_register_count_batch(cols) * tech.pipeline_reg_area_um2
-    width_scale = np.maximum(1.0, cols.input_bits / 8.0)
-    spatial = pes * width_scale + regs
-    return (
-        spatial
-        + cols.sp_capacity_bytes * tech.sp_sram_um2_per_byte
-        + cols.acc_capacity_bytes * tech.acc_sram_um2_per_byte
-        + tech.cpu_area_um2[cpu]
-        + tech.uncore_area_um2
-    )

@@ -76,14 +76,11 @@ def estimate_service_cycles(spec: TenantSpec, config: GemminiConfig) -> float:
     if cached is not None:
         return cached
 
-    from repro.core.config import Dataflow
     from repro.core.spatial_array import SpatialArrayModel
     from repro.dse.objectives import model_workload
 
     workload = model_workload(spec.model, input_hw=spec.input_hw, seq=spec.seq)
-    model = SpatialArrayModel(config)
-    dataflow = Dataflow.WS if config.dataflow is Dataflow.BOTH else config.dataflow
-    cycles = float(sum(model.matmul_cost(m, k, n, dataflow).total for m, k, n in workload.shapes))
+    cycles = SpatialArrayModel(config).workload_cycles(workload.shapes)
     _SERVICE_CYCLES_MEMO[key] = cycles
     return cycles
 

@@ -1,14 +1,13 @@
-"""Batched analytic evaluation: parity with the scalar path, fallbacks.
+"""Batched analytic evaluation: parity with the per-point path, fallbacks.
 
-The acceptance bar for the fast path is that
-:func:`~repro.dse.objectives.evaluate_design_batch` is *indistinguishable*
-from mapping :func:`~repro.dse.objectives.evaluate_design` over the batch:
-identical points, identical config summaries, and all 8 analytic metrics
-within 1e-9 relative (in practice the vectorised pipeline mirrors the
-scalar arithmetic term for term and lands bitwise-equal).
+:func:`~repro.dse.objectives.evaluate_design_batch` must be
+*indistinguishable* from mapping :func:`~repro.dse.objectives
+.evaluate_design` over the batch: identical points, identical config
+summaries, and every metric equal with ``==``.  Both run the same cost
+formulas, so this checks the batching (columns, ordering, assembly); the
+formulas themselves are pinned by ``test_golden_evaluations.py``.
 """
 
-import math
 import random
 
 import pytest
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.dse import (
     EvaluationSpec,
-    UnsupportedPoint,
     build_columns,
     evaluate_design,
     evaluate_design_batch,
@@ -37,7 +35,7 @@ ANALYTIC_METRICS = (
 )
 
 
-def assert_matches_scalar(points, spec, rel_tol=1e-9):
+def assert_matches_scalar(points, spec):
     scalar = [evaluate_design(p, spec) for p in points]
     batch = evaluate_design_batch(points, spec)
     assert len(batch) == len(scalar)
@@ -46,16 +44,17 @@ def assert_matches_scalar(points, spec, rel_tol=1e-9):
         assert b.config_summary == s.config_summary
         assert [k for k, __ in b.metrics] == [k for k, __ in s.metrics]
         for name in ANALYTIC_METRICS:
-            assert math.isclose(b.metric(name), s.metric(name), rel_tol=rel_tol), (
+            assert b.metric(name) == s.metric(name), (
                 f"{name}: batch {b.metric(name)!r} != scalar {s.metric(name)!r} "
                 f"at {s.config_summary}"
             )
+    assert batch == scalar
 
 
 class TestParity:
     def test_randomized_512_point_batch(self):
         """The acceptance criterion: a randomized 512-point batch over the
-        full example space matches the scalar evaluator within 1e-9."""
+        full example space matches the scalar evaluator exactly."""
         space = gemmini_space(max_dim=32)
         rng = random.Random(0)
         points = [space.sample(rng) for __ in range(512)]
@@ -109,19 +108,15 @@ class TestParity:
 
 class TestFallbacks:
     def test_unsupported_key_falls_back_to_scalar(self):
-        """Points outside the column layout (raw GemminiConfig keys) still
-        evaluate — through the scalar path — with identical results."""
+        """Raw GemminiConfig keys pass through point_to_config into the
+        columns, so they batch too, with identical results."""
         points = [
-            {"dim": 8, "clock_ghz": 0.5},  # clock_ghz is not a batched column
+            {"dim": 8, "clock_ghz": 0.5},  # not a gemmini_space axis
             {"dim": 16},
         ]
         spec = EvaluationSpec()
         batch = evaluate_design_batch(points, spec)
         assert batch == [evaluate_design(p, spec) for p in points]
-
-    def test_build_columns_rejects_unsupported_keys(self):
-        with pytest.raises(UnsupportedPoint, match="clock_ghz"):
-            build_columns([{"dim": 8, "clock_ghz": 0.5}])
 
     def test_build_columns_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one point"):
@@ -189,9 +184,9 @@ class TestExplorerIntegration:
         assert [e.point for e in fast.trace] == [e.point for e in scalar]
         for f, s in zip(fast.trace, scalar):
             for name in ANALYTIC_METRICS:
-                assert math.isclose(f.metric(name), s.metric(name), rel_tol=1e-9)
+                assert f.metric(name) == s.metric(name)
         objectives = parse_objectives(spec.objectives)
         front, __ = split_front(scalar, objectives)
         assert [e.point for e in fast.front] == [e.point for e in front]
         hypervolume = front_hypervolume(front, objectives, fast.reference)
-        assert math.isclose(fast.hypervolume, hypervolume, rel_tol=1e-9)
+        assert fast.hypervolume == hypervolume

@@ -105,7 +105,7 @@ class TestStructuralEvaluation:
             assert s.config_summary == b.config_summary
             for (ks, vs), (kb, vb) in zip(s.metrics, b.metrics):
                 assert ks == kb
-                assert vs == pytest.approx(vb, rel=1e-9)
+                assert vs == vb
 
     def test_group_by_components(self):
         points = [mix(("big", 1)), {"dim": 8, "tile": 1}, mix(("big", 1)),

@@ -421,6 +421,29 @@ class TestLedgerCli:
         assert record["metrics"]["p99_ms"] > 0
         assert record["metrics"]["goodput_qps"] > 0
 
+    def test_resumed_serve_runs_get_distinct_run_ids(self, capsys, tmp_path):
+        """A checkpoint written without a tracer carries the null tracer;
+        each resume must still mint its own ledger run id."""
+        import json
+        import shutil
+
+        ckpt = tmp_path / "serve.ckpt"
+        assert main([
+            "serve", "--tenant", self.TENANT, "--checkpoint-every", "1",
+            "--checkpoint-path", str(ckpt), "--no-ledger",
+        ]) == 0
+        ledger = tmp_path / "ledger.jsonl"
+        for copy in ("a.ckpt", "b.ckpt"):
+            shutil.copy(ckpt, tmp_path / copy)
+            assert main([
+                "serve", "--resume", str(tmp_path / copy), "--ledger", str(ledger),
+            ]) == 0
+        capsys.readouterr()
+        run_ids = [json.loads(line)["run_id"] for line in ledger.read_text().splitlines()]
+        assert len(run_ids) == 2
+        assert run_ids[0] != run_ids[1]
+        assert all(run_id.startswith("serve") for run_id in run_ids)
+
     def test_run_appends_record(self, capsys, tmp_path):
         import json
 
