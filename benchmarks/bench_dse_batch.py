@@ -8,9 +8,14 @@ headline number uses a whole-network workload (mobilenetv2 — the shape
 count a real DSE pays per point); the single-shape conv workload is
 recorded alongside as the overhead-bound floor.
 
-CI reads ``extra_info`` from the BENCH JSON and fails when the batched
-path regresses below 3x the scalar baseline measured in the same run
-(the 512-point target on a quiet machine is >= 10x).
+Both paths take each point's config and summary from the per-process
+:func:`~repro.dse.batch.materialise` memo, so the best-of-N rounds score
+points already seen.  ``batch_unseen_points_per_s`` times the batched path
+with the memo cleared before every round: the cost of points a search has
+not visited yet.
+
+The batched path must stay at least 3x the scalar baseline measured in
+the same run; a quiet 2-core host sees about 16x on mobilenetv2.
 """
 
 import math
@@ -26,6 +31,7 @@ from repro.dse import (
     gemmini_space,
     model_workload,
 )
+from repro.dse.batch import materialise
 
 POINTS = 128 if FAST else 512
 SEED = 0
@@ -37,10 +43,11 @@ def _sample_points(n):
     return [space.sample(rng) for __ in range(n)]
 
 
-def _time_best(fn, rounds=3):
+def _time_best(fn, rounds=3, before=lambda: None):
     best = math.inf
     result = None
     for __ in range(rounds):
+        before()
         t0 = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - t0)
@@ -50,6 +57,9 @@ def _time_best(fn, rounds=3):
 def _measure(points, spec):
     scalar, t_scalar = _time_best(lambda: [evaluate_design(p, spec) for p in points])
     batched, t_batch = _time_best(lambda: evaluate_design_batch(points, spec))
+    __, t_unseen = _time_best(
+        lambda: evaluate_design_batch(points, spec), before=materialise.cache_clear
+    )
     for s, b in zip(scalar, batched):
         assert s.point == b.point and s.config_summary == b.config_summary
         for (name, sv), (__, bv) in zip(s.metrics, b.metrics):
@@ -61,6 +71,7 @@ def _measure(points, spec):
         "speedup": t_scalar / t_batch,
         "scalar_points_per_s": len(points) / t_scalar,
         "batch_points_per_s": len(points) / t_batch,
+        "batch_unseen_points_per_s": len(points) / t_unseen,
     }
 
 
@@ -90,13 +101,14 @@ def test_dse_batch_speedup(benchmark, emit):
     for name, stats in (("mobilenetv2", model_stats), ("conv3x3", conv_stats)):
         lines.append(
             f"  {name:12s} scalar {stats['scalar_points_per_s']:8.0f} pts/s | "
-            f"batched {stats['batch_points_per_s']:8.0f} pts/s | "
+            f"batched {stats['batch_points_per_s']:8.0f} pts/s "
+            f"(unseen {stats['batch_unseen_points_per_s']:8.0f}) | "
             f"{stats['speedup']:5.1f}x | bitwise equal"
         )
     emit("dse_batch_speedup", "\n".join(lines))
 
-    # In-run regression floor (CI re-checks from the JSON); quiet machines
-    # see >= 10x on the whole-network workload.
+    # In-run regression floor; a quiet 2-core host sees about 16x on the
+    # whole-network workload.
     assert model_stats["speedup"] >= 3.0, (
         f"batched path only {model_stats['speedup']:.1f}x over scalar"
     )

@@ -9,7 +9,7 @@ parameters are all design-time choices (paper Section III-A).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.core.dtypes import DType, INT8, INT32, FP32, dtype_by_name
 from repro.mem.tlb import TLBConfig
@@ -94,7 +94,8 @@ class GemminiConfig:
     rob_entries: int = 16
 
     # -- virtual memory ----------------------------------------------------- #
-    tlb: TLBConfig = field(default_factory=TLBConfig)
+    #: frozen, so every config may share the one default instance
+    tlb: TLBConfig = TLBConfig()
 
     # -- clock -------------------------------------------------------------- #
     clock_ghz: float = 1.0

@@ -517,15 +517,17 @@ class SpatialArrayModel:
         batch.  The single analytic workload estimate behind DSE scoring
         and SJF service times.
         """
-        # Shapes run down axis 0, against the batch axis (if any) after it.
-        batch_axes = (1,) * np.ndim(self.dim)
-        suite = np.asarray(shapes, dtype=np.int64).reshape(-1, 3, *batch_axes)
-        cost = self.blocked_cost(
-            suite[:, 0], suite[:, 1], suite[:, 2], self.config.dataflow == Dataflow.OS
-        )
+        output_stationary = self.config.dataflow == Dataflow.OS
+        if not isinstance(self.dim, np.ndarray):
+            # One config: plain Python arithmetic, shape by shape.
+            return float(
+                sum(self.blocked_cost(m, k, n, output_stationary).total for m, k, n in shapes)
+            )
+        # Shapes run down axis 0, against the batch axis after it.
+        suite = np.asarray(shapes, dtype=np.int64).reshape(-1, 3, 1)
+        cost = self.blocked_cost(suite[:, 0], suite[:, 1], suite[:, 2], output_stationary)
         # Block counts are integral, so the sum is exact in any order.
-        total = cost.total.sum(axis=0)
-        return total if batch_axes else float(total)
+        return cost.total.sum(axis=0)
 
     def ideal_macs_per_cycle(self) -> int:
         return self.config.num_pes

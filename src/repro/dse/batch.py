@@ -13,12 +13,29 @@ applies to one config, in a handful of vectorised expressions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import attrgetter
+
 import numpy as np
 
 from repro.core.config import GemminiConfig
-from repro.dse.space import point_to_config
+from repro.dse.space import point_key, point_to_config
 
-__all__ = ["ConfigColumns", "build_columns", "group_by_components"]
+__all__ = ["ConfigColumns", "build_columns", "group_by_components", "materialise"]
+
+
+@lru_cache(maxsize=1024)
+def materialise(key: tuple) -> "tuple[GemminiConfig, str]":
+    """The config and ``describe()`` line of the point whose
+    :func:`~repro.dse.space.point_key` is ``key``.
+
+    Memoised per process: a search re-scores the points it revisits
+    (neighbours, repeated batches), and building and describing a config
+    costs more than scoring it in a batch.  Both are pure functions of the
+    point and the config is frozen, so sharing them is safe.
+    """
+    config = point_to_config(dict(key))
+    return config, config.describe()
 
 
 def group_by_components(points: list[dict]) -> dict:
@@ -58,7 +75,7 @@ class ConfigColumns:
     def __getattr__(self, name: str) -> np.ndarray:
         if name.startswith("_"):
             raise AttributeError(name)
-        column = np.array([getattr(config, name) for config in self.configs])
+        column = np.array(list(map(attrgetter(name), self.configs)))
         self.__dict__[name] = column
         return column
 
@@ -68,4 +85,4 @@ def build_columns(points: list[dict]) -> ConfigColumns:
     the configs; an invalid point raises ``point_to_config``'s error."""
     if not points:
         raise ValueError("build_columns needs at least one point")
-    return ConfigColumns([point_to_config(point) for point in points])
+    return ConfigColumns([materialise(point_key(point))[0] for point in points])

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import GemminiConfig
 from repro.core.spatial_array import SpatialArrayModel
-from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_to_config
+from repro.dse.batch import ConfigColumns, group_by_components, materialise
+from repro.dse.space import COMPONENTS_KEY, TILE_PRESETS, point_key
 from repro.physical.area import accelerator_area
 from repro.physical.energy import estimate_energy
 from repro.physical.power import power_mw
@@ -347,7 +348,8 @@ def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
     """
     if COMPONENTS_KEY in point:
         return _evaluate_batch_structural([point], spec)[0]
-    config = point_to_config(point)
+    key = point_key(point)
+    config, summary = materialise(key)
     measured = _soc_cycles_and_energy(config, spec) if spec.fidelity == "soc" else None
     metrics = {
         name: float(value) for name, value in _design_metrics(config, spec, measured).items()
@@ -356,11 +358,7 @@ def evaluate_design(point: dict, spec: EvaluationSpec) -> Evaluation:
         metrics.update(
             _serving_metrics(config, spec, metrics["fmax_ghz"], metrics["power_mw"])
         )
-    return Evaluation(
-        point=tuple(sorted(point.items())),
-        config_summary=config.describe(),
-        metrics=tuple(sorted(metrics.items())),
-    )
+    return Evaluation(point=key, config_summary=summary, metrics=tuple(sorted(metrics.items())))
 
 
 # ---------------------------------------------------------------------- #
@@ -482,9 +480,6 @@ def _evaluate_batch_structural(
     and each fleet is then aggregated by :func:`_aggregate_fleet`.
     Sub-rows are plain points, so they never re-enter this path.
     """
-    from repro.dse.batch import group_by_components
-    from repro.dse.space import point_key
-
     groups = group_by_components(points)
     plain_indices = groups.pop(None, [])
     sub_rows: dict = {}  # row key -> row dict, insertion-ordered
@@ -522,8 +517,8 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     """Score a whole batch of points: ``[evaluate_design(p, spec) for p in
     points]``, bitwise.
 
-    On the analytic fidelity without a traffic profile, the batch is
-    columnised (:func:`~repro.dse.batch.build_columns`) and
+    On the analytic fidelity without a traffic profile, the points'
+    configs (:func:`~repro.dse.batch.materialise`) are columnised and
     :func:`_design_metrics` runs once over the columns: a handful of numpy
     expressions instead of one Python object per point.  Structural points
     take the grouped path; ``fidelity="soc"`` and serving objectives need a
@@ -532,8 +527,6 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     :class:`~repro.eval.runner.ExperimentRunner` workers and cache under
     content-hash keys.
     """
-    from repro.dse.batch import build_columns
-
     points = list(points)
     if not points:
         return []
@@ -542,8 +535,9 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     if spec.fidelity != "analytic" or spec.traffic is not None:
         return [evaluate_design(p, spec) for p in points]
 
-    cols = build_columns(points)
-    metrics = _design_metrics(cols, spec)
+    keys = [point_key(point) for point in points]
+    made = [materialise(key) for key in keys]
+    metrics = _design_metrics(ConfigColumns([config for config, __ in made]), spec)
     names = sorted(metrics)
     # Each column comes down to Python floats once (not once per point).
     metric_rows = zip(*(metrics[name].tolist() for name in names))
@@ -553,12 +547,10 @@ def evaluate_design_batch(points: "list[dict]", spec: EvaluationSpec) -> "list[E
     new = object.__new__
     cls = Evaluation
     out: list[Evaluation] = []
-    for point, config, row in zip(points, cols.configs, metric_rows):
+    for key, (__, summary), row in zip(keys, made, metric_rows):
         evaluation = new(cls)
         evaluation.__dict__.update(
-            point=tuple(sorted(point.items())),
-            config_summary=config.describe(),
-            metrics=tuple(zip(names, row)),
+            point=key, config_summary=summary, metrics=tuple(zip(names, row))
         )
         out.append(evaluation)
     return out

@@ -93,7 +93,10 @@ def estimate_energy(
     ``cycles`` and ``clock_ghz`` may be one array entry per design of a
     batch; the counters are workload-wide scalars.
     """
-    if min(macs, dma_bytes, dram_bytes) < 0 or np.any(cycles < 0):
+    negative = cycles < 0
+    if isinstance(negative, np.ndarray):
+        negative = negative.any()
+    if negative or min(macs, dma_bytes, dram_bytes) < 0:
         raise ValueError("activity counters must be non-negative")
     array_mj = macs * mac_energy_pj(config, tech) * 1e-9
     # Every DMA byte is written to and later read from a local SRAM, and

@@ -26,7 +26,10 @@ def spatial_array_power_mw(
 
     ``frequency_ghz`` may be one array entry per design of a batch.
     """
-    if np.any(frequency_ghz <= 0):
+    stopped = frequency_ghz <= 0
+    if isinstance(stopped, np.ndarray):
+        stopped = stopped.any()
+    if stopped:
         raise ValueError("frequency must be positive")
     pes = config.num_pes * tech.pe_power_mw
     regs = pipeline_register_count(config) * tech.reg_power_mw
