@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.dse.objectives import Evaluation, Objective
 
 __all__ = [
@@ -45,21 +47,63 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return better
 
 
+#: elements of one blocked comparison array in :func:`_nondominated_mask`
+_BLOCK_ELEMENTS = 1 << 20
+
+
+def _dominated_by(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row of ``b``, whether some row of ``a`` dominates it, as
+    :func:`dominates` decides (a NaN coordinate is neither better nor worse)."""
+    a, b = a[:, None, :], b[None, :, :]
+    return ((a < b).any(axis=2) & ~(a > b).any(axis=2)).any(axis=0)
+
+
+def _nondominated_mask(vectors: Sequence[Sequence[float]]) -> list[bool]:
+    """Which of ``vectors`` no other vector dominates, decided exactly as
+    :func:`dominates` decides it (coordinates compared as float64).
+
+    Without NaN, domination is transitive and a dominator sorts
+    lexicographically before what it dominates.  So blocks taken in lex
+    order need checking only against the front kept from earlier blocks
+    and against their own survivors: whatever dominates a vector is on
+    that front or dominated by a member of it.  :func:`dominates` treats a
+    NaN coordinate as neither better nor worse, which breaks transitivity,
+    so input holding a NaN compares all pairs instead.  Blocks keep each
+    comparison array near :data:`_BLOCK_ELEMENTS` elements.
+    """
+    v = np.asarray(vectors, dtype=np.float64)
+    n = len(v)
+    if n == 0 or v.shape[1] == 0:
+        return [True] * n
+    block = max(1, _BLOCK_ELEMENTS // (n * v.shape[1]))
+    if np.isnan(v).any():
+        dominated = [_dominated_by(v, v[s:s + block]) for s in range(0, n, block)]
+        return (~np.concatenate(dominated)).tolist()
+    order = np.lexsort(v.T[::-1])
+    keep = np.zeros(n, dtype=bool)
+    front = v[:0]
+    for start in range(0, n, block):
+        idx = order[start:start + block]
+        alive = ~_dominated_by(front, v[idx])
+        idx = idx[alive]
+        alive = ~_dominated_by(v[idx], v[idx])
+        keep[idx[alive]] = True
+        front = np.concatenate([front, v[idx[alive]]])
+    return keep.tolist()
+
+
 def split_front(
     evaluations: Sequence[Evaluation], objectives: tuple[Objective, ...]
 ) -> tuple[list[Evaluation], list[Evaluation]]:
-    """Partition into (non-dominated front, dominated rest).
+    """Partition into (non-dominated front, dominated rest), each in input
+    order.
 
     Duplicate objective vectors all stay on the front (none strictly
     dominates its twin), which keeps the split deterministic.
     """
-    vectors = [e.vector(objectives) for e in evaluations]
-    front, rest = [], []
-    for i, e in enumerate(evaluations):
-        if any(dominates(vectors[j], vectors[i]) for j in range(len(evaluations)) if j != i):
-            rest.append(e)
-        else:
-            front.append(e)
+    keep = _nondominated_mask([e.vector(objectives) for e in evaluations])
+    front = [e for e, k in zip(evaluations, keep) if k]
+    rest = [e for e, k in zip(evaluations, keep) if not k]
     return front, rest
 
 
@@ -72,11 +116,17 @@ def pareto_front(
 def nondominated_sort(
     evaluations: Sequence[Evaluation], objectives: tuple[Objective, ...]
 ) -> list[list[Evaluation]]:
-    """Successive Pareto fronts (NSGA-style rank 0, 1, 2, ...)."""
+    """Successive Pareto fronts (NSGA-style rank 0, 1, 2, ...).
+
+    NaN coordinates can make domination cyclic, leaving every remaining
+    point dominated; those points form the last rank together.
+    """
     remaining = list(evaluations)
     fronts: list[list[Evaluation]] = []
     while remaining:
         front, remaining = split_front(remaining, objectives)
+        if not front:
+            front, remaining = remaining, []
         fronts.append(front)
     return fronts
 
@@ -132,11 +182,7 @@ def reference_point(
 
 def _nondominated_vectors(vectors: list[tuple[float, ...]]) -> list[tuple[float, ...]]:
     unique = sorted(set(vectors))
-    return [
-        v
-        for i, v in enumerate(unique)
-        if not any(dominates(u, v) for j, u in enumerate(unique) if j != i)
-    ]
+    return [v for v, k in zip(unique, _nondominated_mask(unique)) if k]
 
 
 def hypervolume(vectors: Sequence[Sequence[float]], reference: Sequence[float]) -> float:

@@ -21,6 +21,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import base64
 import enum
 import functools
 import hashlib
@@ -37,7 +38,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.store import write_atomic
+from repro.store import append_json, scan_json_lines
 
 __all__ = [
     "ExperimentRunner",
@@ -54,6 +55,9 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 
 
+_PLAIN = frozenset({str, int, float, bool})
+
+
 def _canonical(obj: Any) -> Any:
     """Reduce ``obj`` to a deterministic JSON-serialisable structure.
 
@@ -62,6 +66,8 @@ def _canonical(obj: Any) -> Any:
     falls back to its ``repr``, which is deterministic for the config
     objects used here.
     """
+    if type(obj) in _PLAIN or obj is None:  # fast path; subclasses fall through
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         # Fields marked compare=False are simulation knobs, not identity.
         flat = {f.name: _canonical(getattr(obj, f.name)) for f in fields(obj) if f.compare}
@@ -91,10 +97,14 @@ def _canonical(obj: Any) -> Any:
     return repr(obj)
 
 
+def _encode(payload: Any) -> bytes:
+    """The canonical JSON bytes :func:`config_hash` hashes."""
+    return json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def config_hash(payload: Any) -> str:
     """Stable hex digest of an arbitrary experiment configuration."""
-    encoded = json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_encode(payload)).hexdigest()
 
 
 def _callable_state(fn: Callable[..., Any]) -> Any:
@@ -214,31 +224,80 @@ class ExperimentSpec:
         position, figure name), and the same computation must hit the same
         cache entry however it is labelled or ordered.
         """
-        fn = self.fn
-        target = getattr(fn, "__wrapped__", fn)
-        # Identity and source come from the innermost function: a partial's
-        # own repr embeds a memory address (nondeterministic across runs),
-        # while its bindings are already captured by _callable_state.
-        inner = target
-        while isinstance(inner, functools.partial):
-            inner = inner.func
-        try:
-            ident, source, module_src = _fn_fingerprint(inner)
-        except TypeError:  # unhashable callable (e.g. a custom instance)
-            ident, source, module_src = _fn_fingerprint.__wrapped__(inner)
-        return config_hash(
-            {
-                "fn": ident,
-                "src": source,
-                "module_src": module_src,
-                "state": _callable_state(target),
-                "env": _source_fingerprint(),
-                "kwargs": dict(self.kwargs),
-            }
-        )
+        return config_hash(_key_payload(self.fn, dict(self.kwargs)))
 
     def run(self) -> Any:
         return self.fn(**dict(self.kwargs))
+
+
+def _key_payload(fn: Callable[..., Any], kwargs: dict[str, Any]) -> dict[str, Any]:
+    """What :attr:`ExperimentSpec.key` hashes for ``fn`` called with ``kwargs``."""
+    target = getattr(fn, "__wrapped__", fn)
+    # Identity and source come from the innermost function: a partial's
+    # own repr embeds a memory address (nondeterministic across runs),
+    # while its bindings are already captured by _callable_state.
+    inner = target
+    while isinstance(inner, functools.partial):
+        inner = inner.func
+    try:
+        ident, source, module_src = _fn_fingerprint(inner)
+    except TypeError:  # unhashable callable (e.g. a custom instance)
+        ident, source, module_src = _fn_fingerprint.__wrapped__(inner)
+    # "kwargs" sorts after "call", so a spec's arguments are the last bytes
+    # hashed and a batch hashes what its specs share once (_spec_keys).
+    return {
+        "call": {
+            "fn": ident,
+            "src": source,
+            "module_src": module_src,
+            "state": _callable_state(target),
+            "env": _source_fingerprint(),
+        },
+        "kwargs": kwargs,
+    }
+
+
+#: stands in for ``item`` while a batch's shared key bytes are encoded
+_ITEM_SLOT = "\x00item\x00"
+_ITEM_SLOT_JSON = json.dumps(_ITEM_SLOT).encode("utf-8")
+
+
+def _spec_keys(specs: Sequence[ExperimentSpec]) -> list[str]:
+    """``[spec.key for spec in specs]``, hashing what points share once.
+
+    Specs built by :meth:`ExperimentRunner.map` and
+    :meth:`ExperimentRunner.map_batch` share one callable and the same
+    shared-keyword objects; only ``item`` differs.  For each such group the
+    key payload is encoded once with a placeholder item.  Each spec's key
+    continues a copy of the sha256 state of the bytes before the
+    placeholder with the item's canonical JSON and the few bytes after it
+    (shared keywords that sort after ``item``, closing braces).  JSON
+    encoding nests, so the digest equals :attr:`ExperimentSpec.key`.
+    Specs without an ``item`` keyword hash whole.
+    """
+    keys: list[str] = []
+    heads: dict[tuple, tuple[Any, bytes] | None] = {}
+    for spec in specs:
+        kwargs = dict(spec.kwargs)
+        if "item" not in kwargs:
+            keys.append(spec.key)
+            continue
+        # Every spec is alive for the whole call, so ids are stable here.
+        group = (id(spec.fn), tuple((k, id(v)) for k, v in spec.kwargs if k != "item"))
+        if group not in heads:
+            encoded = _encode(_key_payload(spec.fn, {**kwargs, "item": _ITEM_SLOT}))
+            before, __, after = encoded.partition(_ITEM_SLOT_JSON)
+            unique = encoded.count(_ITEM_SLOT_JSON) == 1
+            heads[group] = (hashlib.sha256(before), after) if unique else None
+        head = heads[group]
+        if head is None:
+            keys.append(spec.key)
+            continue
+        digest = head[0].copy()
+        digest.update(_encode(kwargs["item"]))
+        digest.update(head[1])
+        keys.append(digest.hexdigest())
+    return keys
 
 
 def _run_spec(spec: ExperimentSpec) -> Any:
@@ -263,39 +322,71 @@ def _run_spec_timed(spec: ExperimentSpec) -> tuple[Any, float, float, int]:
 
 
 class ResultCache:
-    """Pickle-per-key result store under one directory.
+    """Append-log result store: one ``results.jsonl`` per directory.
 
-    Writes are atomic (:func:`repro.store.write_atomic`) so concurrent
-    workers and interrupted runs can never leave a half-written entry
-    behind; unreadable entries degrade to cache misses.  Reading an entry
-    unpickles it, which runs code from the file: point a cache only at a
-    directory that this user's own runs wrote.
+    :meth:`put` appends one ``{"key", "pickle"}`` JSON line, the value's
+    pickle in base64, through :func:`repro.store.append_json`: concurrent
+    writers never interleave, and a killed writer loses at most its own
+    last line.  :meth:`get` reads through an index of key -> line offset
+    that holds no values.  The index is built in one pass on first use
+    and, on a miss, extended by reading only what any process appended
+    since.  A later line for a key replaces an earlier one.  Torn or
+    corrupt lines, and entries that no longer unpickle, are misses.
+    Reading unpickles, which runs code from the file: point a cache only
+    at a directory that this user's own runs wrote.
     """
 
     _MISS = object()
+    #: pinned so the bytes of an entry do not depend on the Python version
+    _PICKLE_PROTOCOL = 4
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / "results.jsonl"
+        self._offsets: dict[str, int] = {}
+        self._indexed = 0  # offset just past the last indexed line
 
-    def path(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
+    def _index(self) -> None:
+        """Index the lines appended since the last call."""
+        try:
+            size = self.path.stat().st_size
+        except OSError:
+            size = 0
+        if size < self._indexed:  # cleared or replaced since: start over
+            self._offsets.clear()
+            self._indexed = 0
+        if size > self._indexed:
+            entries, self._indexed = scan_json_lines(
+                self.path, "result cache", _entry_key, self._indexed
+            )
+            self._offsets.update((key, offset) for offset, key in entries)
 
     def get(self, key: str) -> Any:
         """Return the cached value, or :attr:`ResultCache._MISS`."""
-        path = self.path(key)
+        offset = self._offsets.get(key)
+        if offset is None:
+            self._index()
+            offset = self._offsets.get(key)
+            if offset is None:
+                return self._MISS
         try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
+            with self.path.open("rb") as fh:
+                fh.seek(offset)
+                entry = json.loads(fh.readline())
+            if entry["key"] != key:  # the log was replaced since indexing
+                return self._MISS
+            return pickle.loads(base64.b64decode(entry["pickle"]))
         except Exception:
-            # Unpickling can fail in arbitrary ways (truncated file, class
-            # moved or renamed since the entry was written, __setstate__
-            # errors); every one of them is just a miss.
+            # Unpickling can fail in arbitrary ways (class moved or renamed
+            # since the entry was written, __setstate__ errors); every one
+            # of them is just a miss.
             return self._MISS
 
     def put(self, key: str, value: Any) -> None:
         try:
-            write_atomic(self.path(key), pickle.dumps(value))
+            data = pickle.dumps(value, protocol=self._PICKLE_PROTOCOL)
+            append_json(self.path, {"key": key, "pickle": base64.b64encode(data).decode("ascii")})
         except Exception:
             # A result that cannot be pickled (serial runners permit them)
             # or a filesystem error must not fail the run that computed it —
@@ -303,11 +394,21 @@ class ResultCache:
             pass
 
     def clear(self) -> None:
-        for entry in self.directory.glob("*.pkl"):
-            entry.unlink(missing_ok=True)
+        self.path.unlink(missing_ok=True)
+        self._offsets.clear()
+        self._indexed = 0
 
     def __len__(self) -> int:
-        return sum(1 for __ in self.directory.glob("*.pkl"))
+        self._index()
+        return len(self._offsets)
+
+
+def _entry_key(entry: dict) -> str:
+    """The key of one result-cache line; rejects lines missing a field."""
+    key, data = entry["key"], entry["pickle"]
+    if not isinstance(key, str) or not isinstance(data, str):
+        raise TypeError("result-cache entry fields must be strings")
+    return key
 
 
 # ---------------------------------------------------------------------- #
@@ -440,8 +541,7 @@ class ExperimentRunner:
         results: list[Any] = [None] * len(specs)
         pending: list[int] = []
         tracer = self.tracer
-        # Key computation hashes source text and kwargs; do it once per spec.
-        keys = [spec.key for spec in specs] if self.cache is not None else None
+        keys = _spec_keys(specs) if self.cache is not None else None
         primary: dict[str, int] = {}  # key -> first pending position
         duplicates: dict[int, int] = {}  # position -> its primary position
         for i, spec in enumerate(specs):

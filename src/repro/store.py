@@ -1,9 +1,10 @@
 """The on-disk layer every persistent store shares.
 
-The run ledger and the schedule cache are JSONL append logs
-(:func:`append_json`, :func:`read_json_lines`); the experiment result
-cache and serving checkpoints are whole files replaced atomically
-(:func:`write_atomic`).  Each store keeps its own failure policy on top.
+The run ledger, the schedule cache and the experiment result cache are
+JSONL append logs (:func:`append_json`; :func:`read_json_lines` reads a
+whole log, :func:`scan_json_lines` indexes one as it grows); serving
+checkpoints are whole files replaced atomically (:func:`write_atomic`).
+Each store keeps its own failure policy on top.
 Nothing here fsyncs: a store survives a killed process, not a power cut.
 """
 
@@ -21,7 +22,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-__all__ = ["env_path", "append_json", "read_json_lines", "write_atomic"]
+__all__ = ["env_path", "append_json", "read_json_lines", "scan_json_lines", "write_atomic"]
 
 #: environment values that switch a store off
 _OFF = frozenset({"0", "off", "none", "disabled"})
@@ -47,8 +48,12 @@ def append_json(path: Path, obj: dict[str, Any]) -> None:
     """
     line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     data = (line + "\n").encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o644)
+    except FileNotFoundError:  # first write into a missing directory
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o644)
     try:
         if fcntl is not None:
             with contextlib.suppress(OSError):  # filesystems without flock
@@ -56,6 +61,13 @@ def append_json(path: Path, obj: dict[str, Any]) -> None:
         os.write(fd, data)
     finally:
         os.close(fd)  # closing the descriptor releases the lock
+
+
+def _decode_line(line: str | bytes, decode: Callable[[dict], Any]) -> Any:
+    data = json.loads(line)
+    if not isinstance(data, dict):
+        raise TypeError("not a JSON object")
+    return decode(data)
 
 
 def read_json_lines(path: Path, label: str, decode: Callable[[dict], Any]) -> list[Any]:
@@ -73,10 +85,7 @@ def read_json_lines(path: Path, label: str, decode: Callable[[dict], Any]) -> li
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                raise TypeError("not a JSON object")
-            out.append(decode(data))
+            out.append(_decode_line(line, decode))
         except (KeyError, TypeError, ValueError):
             tail = " (truncated final line?)" if i >= len(lines) - 2 else ""
             warnings.warn(
@@ -85,6 +94,43 @@ def read_json_lines(path: Path, label: str, decode: Callable[[dict], Any]) -> li
                 stacklevel=3,
             )
     return out
+
+
+def scan_json_lines(
+    path: Path, label: str, decode: Callable[[dict], Any], start: int = 0
+) -> tuple[list[tuple[int, Any]], int]:
+    """``(offset, decoded)`` for each readable line of ``path`` that starts
+    at or after byte ``start``, and the offset just past the last complete
+    line; a missing file reads as empty.
+
+    For readers that index a log as it grows: a final line without its
+    newline may still be being written, so it is left for the next call,
+    which passes the returned offset back as ``start``.  Lines that
+    :func:`read_json_lines` would skip are skipped with the same warning,
+    naming the line's byte offset instead of its number.  The file is read
+    one line at a time, so a large log is never held in memory whole.
+    """
+    out: list[tuple[int, Any]] = []
+    offset = start
+    try:
+        with path.open("rb") as fh:
+            fh.seek(start)
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break
+                if line.strip():
+                    try:
+                        out.append((offset, _decode_line(line, decode)))
+                    except (KeyError, TypeError, ValueError):
+                        warnings.warn(
+                            f"{label} {path}: skipping corrupt line at byte {offset}",
+                            RuntimeWarning,
+                            stacklevel=3,
+                        )
+                offset += len(line)
+    except OSError:
+        pass  # what was read so far stands; a missing file reads as empty
+    return out, offset
 
 
 def write_atomic(path: Path, data: bytes) -> None:

@@ -1,12 +1,15 @@
 """Pareto machinery: domination, fronts, hypervolume, bounds."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse.objectives import Evaluation, parse_objectives
+from repro.dse.objectives import OBJECTIVES, Evaluation, parse_objectives
 from repro.dse.pareto import (
     MetricBound,
+    _nondominated_vectors,
     crowding_distance,
     dominates,
     hypervolume,
@@ -77,6 +80,121 @@ class TestSplitFront:
         evals = [make_eval(1, 1), make_eval(1, 1), make_eval(2, 2)]
         front, discarded = split_front(evals, OBJS)
         assert len(front) == 2 and len(discarded) == 1
+
+
+# ---------------------------------------------------------------------- #
+# The non-dominated filter against a brute-force oracle                   #
+# ---------------------------------------------------------------------- #
+
+#: objectives of 1 to 4 dimensions; fmax_ghz is maximised (sign-flipped)
+OBJECTIVE_SETS = [
+    tuple(OBJECTIVES[name] for name in names)
+    for names in (
+        ("latency_ms",),
+        ("latency_ms", "fmax_ghz"),
+        ("latency_ms", "area_mm2", "power_mw"),
+        ("latency_ms", "area_mm2", "power_mw", "fmax_ghz"),
+    )
+]
+
+# A small pool makes ties and duplicates common; arbitrary floats add the rest.
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def scored_sets(draw, allow_nan=True):
+    """(objectives, evaluations): up to 40 points, some exact duplicates."""
+    objectives = draw(st.sampled_from(OBJECTIVE_SETS))
+    coordinate = coordinates if allow_nan else coordinates.filter(lambda x: not math.isnan(x))
+    rows = draw(st.lists(st.tuples(*[coordinate] * len(objectives)), max_size=32))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=8))
+    rows = draw(st.permutations(rows))
+    evals = [
+        Evaluation(
+            point=(("id", i),),
+            config_summary="t",
+            metrics=tuple(sorted(zip((o.name for o in objectives), row))),
+        )
+        for i, row in enumerate(rows)
+    ]
+    return objectives, evals
+
+
+def oracle_split(evals, objectives):
+    """The definition: a point is on the front iff no point dominates it."""
+    vectors = [e.vector(objectives) for e in evals]
+    on_front = [not any(dominates(u, v) for u in vectors) for v in vectors]
+    return (
+        [e for e, keep in zip(evals, on_front) if keep],
+        [e for e, keep in zip(evals, on_front) if not keep],
+    )
+
+
+def oracle_sort(evals, objectives):
+    fronts, remaining = [], list(evals)
+    while remaining:
+        front, remaining = oracle_split(remaining, objectives)
+        if not front:  # a domination cycle through NaN coordinates
+            front, remaining = remaining, []
+        fronts.append(front)
+    return fronts
+
+
+def oracle_nondominated_vectors(vectors):
+    unique = sorted(set(vectors))
+    return [v for v in unique if not any(dominates(u, v) for u in unique)]
+
+
+class TestFilterMatchesOracle:
+    @settings(max_examples=200)
+    @given(scored_sets())
+    def test_split_front(self, case):
+        objectives, evals = case
+        assert split_front(evals, objectives) == oracle_split(evals, objectives)
+
+    @settings(max_examples=100)
+    @given(scored_sets(allow_nan=False))
+    def test_split_front_without_nan(self, case):
+        """The lex-order pass (NaN-free input) on its own."""
+        objectives, evals = case
+        assert split_front(evals, objectives) == oracle_split(evals, objectives)
+
+    @given(scored_sets())
+    def test_nondominated_sort(self, case):
+        objectives, evals = case
+        assert nondominated_sort(evals, objectives) == oracle_sort(evals, objectives)
+
+    @settings(max_examples=100)
+    @given(scored_sets())
+    def test_nondominated_vectors(self, case):
+        objectives, evals = case
+        vectors = [e.vector(objectives) for e in evals]
+        assert _nondominated_vectors(vectors) == oracle_nondominated_vectors(vectors)
+
+    def test_nan_domination_cycle_ends_the_sort(self):
+        """Each of these dominates the next when NaN counts as neither
+        better nor worse; the sort must still terminate."""
+        objectives = OBJECTIVE_SETS[2]
+        cycle = [make_eval(0, 1, math.nan), make_eval(1, math.nan, 0), make_eval(math.nan, 0, 1)]
+        assert nondominated_sort(cycle, objectives) == [cycle]
+
+    def test_small_blocks(self, monkeypatch):
+        """Blocks of one vector exercise every carry across blocks."""
+        from repro.dse import pareto
+
+        monkeypatch.setattr(pareto, "_BLOCK_ELEMENTS", 1)
+        objectives = OBJECTIVE_SETS[2]
+        evals = [
+            make_eval(*v)
+            for v in [(3, 1, 2), (1, 3, 2), (2, 2, 2), (3, 3, 3), (1, 3, 2), (0, 9, 9), (4, 4, 1)]
+        ]
+        nan_evals = evals + [make_eval(math.nan, 0, 0)]
+        for case in (evals, nan_evals):
+            assert split_front(case, objectives) == oracle_split(case, objectives)
 
 
 class TestNondominatedSort:

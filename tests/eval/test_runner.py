@@ -1,5 +1,8 @@
 """Tests for the parallel experiment runner and its result cache."""
 
+import base64
+import functools
+import json
 import os
 
 import pytest
@@ -188,6 +191,13 @@ class TestExperimentSpec:
         assert key_before != key_after
 
 
+def _append_entry(cache: ResultCache, key: str, pickled: bytes) -> None:
+    """Append one result-cache line holding ``pickled`` verbatim."""
+    entry = {"key": key, "pickle": base64.b64encode(pickled).decode("ascii")}
+    with cache.path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(entry) + "\n")
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -201,7 +211,7 @@ class TestResultCache:
 
     def test_corrupt_entry_is_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.path("bad").write_bytes(b"not a pickle")
+        _append_entry(cache, "bad", b"not a pickle")
         assert cache.get("bad") is ResultCache._MISS
 
     def test_unresolvable_class_is_miss(self, tmp_path):
@@ -209,8 +219,37 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         # Protocol-0 GLOBAL opcode naming a module that cannot be imported —
         # what a cache entry looks like after its result class was renamed.
-        cache.path("stale").write_bytes(b"cgone_module\nGoneClass\n.")
+        _append_entry(cache, "stale", b"cgone_module\nGoneClass\n.")
         assert cache.get("stale") is ResultCache._MISS
+
+    def test_later_entry_wins(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("k", 1)
+        cache.put("k", 2)
+        assert cache.get("k") == 2
+        assert ResultCache(tmp_path).get("k") == 2
+        assert len(cache) == 1
+
+    def test_sees_entries_other_writers_append(self, tmp_path):
+        """A miss reads what any writer appended since the index was built."""
+        reader, writer = ResultCache(tmp_path), ResultCache(tmp_path)
+        writer.put("a", 1)
+        assert reader.get("a") == 1
+        assert reader.get("b") is ResultCache._MISS
+        writer.put("b", 2)
+        assert reader.get("b") == 2
+
+    def test_replaced_log_never_serves_another_key(self, tmp_path):
+        reader, writer = ResultCache(tmp_path), ResultCache(tmp_path)
+        writer.put("a", "value of a")
+        writer.put("b", "value of b")
+        assert reader.get("b") == "value of b"
+        writer.clear()
+        writer.put("b", "new b")
+        writer.put("c", "c")
+        # "b" was indexed at an offset that now holds another key's entry.
+        assert reader.get("b") in (ResultCache._MISS, "new b")
+        assert reader.get("c") in (ResultCache._MISS, "c")
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -656,3 +695,118 @@ class TestRunnerLedger:
         assert first.wall_s >= 0.0
         assert first.provenance["python"]
         assert first.workload["n"] == 3
+
+
+class _Unhashable:
+    """A callable instance that defines __eq__ without __hash__."""
+
+    def __init__(self, offset):
+        self.offset = offset
+
+    def __eq__(self, other):
+        return isinstance(other, _Unhashable) and other.offset == self.offset
+
+    def __call__(self, items, **shared):
+        return [(item, self.offset, sorted(shared)) for item in items]
+
+    def __repr__(self):
+        return f"_Unhashable({self.offset})"
+
+
+def _make_closure(factor):
+    def closure_batch(items, **shared):
+        return [(item, factor) for item in items]
+
+    return closure_batch
+
+
+def _make_item_closure(factor):
+    return lambda item: (item, factor)
+
+
+def _tagged_batch(items, tag="", **shared):
+    return [(item, tag) for item in items]
+
+
+def _keyed(item, factor=1):
+    return (item, factor)
+
+
+class TestBatchKeys:
+    """The batch key helper the cache pass uses equals ``spec.key``."""
+
+    ITEMS = [
+        3,
+        -0.5,
+        float("nan"),
+        "text",
+        "\x00item\x00",  # the helper's own placeholder, as an item
+        (1, "a"),
+        {"dim": 16, "dataflow": "WS", 2: [1, 2]},
+        GemminiConfig(),
+        None,
+        True,
+        3,  # a duplicate
+    ]
+
+    @pytest.fixture
+    def checked_keys(self, monkeypatch):
+        """Every batch the runner keys, checked against ``spec.key``."""
+        from repro.eval import runner as runner_module
+
+        real = runner_module._spec_keys
+        batches = []
+
+        def checked(specs):
+            keys = real(specs)
+            assert keys == [spec.key for spec in specs]
+            batches.append(len(specs))
+            return keys
+
+        monkeypatch.setattr(runner_module, "_spec_keys", checked)
+        return batches
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            square_batch,
+            _make_closure(2),
+            functools.partial(_tagged_batch, tag="p"),
+            _Unhashable(7),
+        ],
+        ids=["function", "closure", "partial", "unhashable"],
+    )
+    def test_map_batch(self, fn, tmp_path, checked_keys):
+        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
+            runner.map_batch(lambda items: list(items), self.ITEMS)
+            if fn is not square_batch:
+                runner.map_batch(fn, self.ITEMS)
+            # Shared keywords sorting before and after "item", and one equal
+            # to the placeholder (the helper then hashes those specs whole).
+            runner.map_batch(_Unhashable(1), self.ITEMS, alpha=[1, 2], zeta={"z": 0})
+            runner.map_batch(_Unhashable(1), self.ITEMS, alpha="\x00item\x00")
+        assert checked_keys == [len(self.ITEMS)] * (3 + (fn is not square_batch))
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda x: x, _make_item_closure(5), functools.partial(_keyed, factor=2)],
+        ids=["lambda", "closure", "partial"],
+    )
+    def test_map(self, fn, tmp_path, checked_keys):
+        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
+            runner.map(fn, self.ITEMS)
+        assert checked_keys == [len(self.ITEMS)]
+
+    def test_mixed_specs(self, tmp_path, checked_keys):
+        """Specs without an item, and items under different callables."""
+        specs = [
+            ExperimentSpec.make(square, x=2),
+            ExperimentSpec.make(double, x=2),
+            ExperimentSpec.make(pid_and_value, value=1),
+            ExperimentSpec.make(_keyed, item=[1]),
+            ExperimentSpec.make(_keyed, item=[1], factor=2),
+            ExperimentSpec.make(_keyed, item=[2], factor=2),
+        ]
+        with ExperimentRunner(max_workers=1, cache=tmp_path) as runner:
+            runner.run_specs(specs)
+        assert checked_keys == [len(specs)]

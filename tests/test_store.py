@@ -1,12 +1,12 @@
 """Fault suite for the shared on-disk layer and the four stores built on it.
 
-The run ledger and the schedule cache are append logs; the result cache
-and serving checkpoints are atomic whole-file writes.  Every store must
+The run ledger, the schedule cache and the result cache are append logs;
+serving checkpoints are atomic whole-file writes.  Every store must
 survive a writer killed mid-write, truncated and corrupt records, a
 read-only directory and a full disk.  The failure policy per store is
 pinned here: the ledger, the schedule cache and checkpoints raise and
 leave the file (and any in-memory map) as it was; ``ResultCache.put``
-swallows the error and leaves no entry and no tmp file behind.
+swallows the error and leaves the log as it was.
 
 Read-only directories and full disks are simulated by injecting
 ``PermissionError`` from ``os.open`` and ``ENOSPC`` from ``os.write``,
@@ -35,7 +35,7 @@ from repro.serve import (
     save_checkpoint,
 )
 from repro.serve import checkpoint as checkpoint_module
-from repro.store import env_path, read_json_lines, write_atomic
+from repro.store import env_path, read_json_lines, scan_json_lines, write_atomic
 from repro.sw.schedule_cache import ScheduleCache, ScheduleKey, ScheduleRecord, schedule_key
 from repro.sw.tiling import MatmulTiling
 
@@ -120,25 +120,27 @@ class ScheduleStore:
 
 
 class ResultStore:
-    append_log = False
+    append_log = True
     raises = False
 
     def __init__(self, root, sim=None):
         self.store = ResultCache(root / "results")
+        self.path = self.store.path
 
     def write(self, i):
         return self.store.put(f"k{i}", {"i": i, "pad": bytes(64 * 1024)})
 
     def target(self, i):
-        return self.store.path(f"k{i}")
+        return self.path
 
     def read(self):
-        ids = []
-        for entry in self.store.directory.glob("*.pkl"):
-            value = ResultCache(self.store.directory).get(entry.stem)
-            if value is not ResultCache._MISS:
-                ids.append(value["i"])
-        return sorted(ids)
+        # The keys of every readable line (the tolerant reader warns about
+        # the rest), then each value through a fresh cache's index.
+        keys = read_json_lines(self.path, "result cache", lambda entry: entry["key"])
+        cache = ResultCache(self.store.directory)
+        values = [cache.get(key) for key in keys]
+        assert len(cache) == len(keys)
+        return sorted(value["i"] for value in values if value is not ResultCache._MISS)
 
     def memory(self):
         return None
@@ -228,6 +230,37 @@ class TestReadJsonLines:
         assert read_json_lines(tmp_path / "absent.jsonl", "test log", dict) == []
 
 
+class TestScanJsonLines:
+    def test_offsets_and_an_unfinished_final_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"v": 1}\n{"v": 2}\n{"v": 3')
+        entries, end = scan_json_lines(path, "test log", lambda data: data["v"])
+        assert entries == [(0, 1), (9, 2)]
+        assert end == 18  # the unfinished line waits for its newline
+        with path.open("ab") as fh:
+            fh.write(b'}\n{"v": 4}\n')
+        assert scan_json_lines(path, "test log", lambda data: data["v"], end) == (
+            [(18, 3), (27, 4)],
+            36,
+        )
+
+    def test_corrupt_lines_are_skipped_by_byte_offset(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"v": 1}\n[1]\n\n{"w": 2}\n{"v": 3}\n')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entries, end = scan_json_lines(path, "test log", lambda data: data["v"])
+        assert entries == [(0, 1), (23, 3)]
+        assert end == path.stat().st_size
+        assert [str(w.message).rsplit(": ", 1)[1] for w in caught] == [
+            "skipping corrupt line at byte 9",
+            "skipping corrupt line at byte 14",
+        ]
+
+    def test_missing_file_is_empty(self, tmp_path):
+        assert scan_json_lines(tmp_path / "absent.jsonl", "test log", dict, 5) == ([], 5)
+
+
 class TestWriteAtomic:
     def test_tmp_name_is_per_process_and_cleaned_up(self, tmp_path, monkeypatch):
         path = tmp_path / "blob.bin"
@@ -273,6 +306,11 @@ GOLDEN_SCHEDULE_LINE = (
     b'"n":32},"ts":1700000000.5,"tuned_cycles":100.0,"verified":3}\n'
 )
 
+#: ``ResultCache.put("abc", {"v": 1})``: the key and the base64 protocol-4 pickle
+GOLDEN_RESULT_LINE = (
+    b'{"key":"abc","pickle":"gASVCgAAAAAAAAB9lIwBdpRLAXMu"}\n'
+)
+
 
 def _golden_run_record():
     return RunRecord(
@@ -312,11 +350,22 @@ class TestGoldenFormat:
         cache_path.write_bytes(GOLDEN_SCHEDULE_LINE)
         assert ScheduleCache(cache_path).records() == [_golden_schedule_record()]
 
-    def test_result_cache_entries_stay_pickles(self, tmp_path):
+    def test_result_cache_append_bytes(self, tmp_path):
+        ResultCache(tmp_path).put("abc", {"v": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl"]
+        assert (tmp_path / "results.jsonl").read_bytes() == GOLDEN_RESULT_LINE
+        assert ResultCache(tmp_path).get("abc") == {"v": 1}
+
+    def test_leftover_pickle_entry_is_a_miss(self, tmp_path):
+        """Caches written one pickle file per key before the append log
+        read as empty: the old files are neither read nor removed."""
+        (tmp_path / "abc.pkl").write_bytes(pickle.dumps({"v": 1}))
         cache = ResultCache(tmp_path)
-        cache.put("abc", {"v": 1})
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["abc.pkl"]
-        assert pickle.loads((tmp_path / "abc.pkl").read_bytes()) == {"v": 1}
+        assert cache.get("abc") is ResultCache._MISS
+        assert len(cache) == 0
+        cache.put("abc", {"v": 2})
+        assert ResultCache(tmp_path).get("abc") == {"v": 2}
+        assert (tmp_path / "abc.pkl").exists()
 
 
 # ---------------------------------------------------------------------- #
